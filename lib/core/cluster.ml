@@ -35,18 +35,7 @@ let stack_of_string = function
   | "onesided" -> Some One_sided
   | _ -> None
 
-(* When set, every cluster shards its engine into conservative event lanes
-   (multi-segment topologies only; see [Sim.Lanes]).  A process-wide
-   default so the `--lanes` CLI flag reaches every experiment driver
-   without threading a parameter through each one; set it before any
-   cluster is built. *)
-let lanes_default = ref false
-
-let set_default_lanes b = lanes_default := b
-let default_lanes () = !lanes_default
-
-let create ?(extra_machine = false) ?(net = Params.net10m) ?lanes ~n () =
-  let lanes = match lanes with Some b -> b | None -> !lanes_default in
+let create ?(extra_machine = false) ?(net = Params.net10m) ?(lanes = false) ~n () =
   let eng = Sim.Engine.create () in
   let total = n + if extra_machine then 1 else 0 in
   let machines =

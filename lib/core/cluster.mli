@@ -17,15 +17,9 @@ type t = private {
 
 val create :
   ?extra_machine:bool -> ?net:Params.net_profile -> ?lanes:bool -> n:int -> unit -> t
-(** [lanes] (default {!default_lanes}) shards the engine into conservative
-    event lanes when the topology spans several segments (> 8 machines);
+(** [lanes] (default [false]) shards the engine into conservative event
+    lanes when the topology spans several segments (> 8 machines);
     single-segment clusters always keep the sequential engine path. *)
-
-val set_default_lanes : bool -> unit
-(** Process-wide default for [create]'s [?lanes] — how the [--lanes] CLI
-    flag reaches every experiment driver.  Set before building clusters. *)
-
-val default_lanes : unit -> bool
 
 val net : t -> Params.net_profile
 

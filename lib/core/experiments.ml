@@ -88,6 +88,10 @@ let micro_pool profile n =
   in
   (eng, machines, flips, topo)
 
+(* The microbenchmarks' cost profile under a run context: the 1995
+   profile re-skinned with the context's network era. *)
+let ctx_profile ctx = with_net ctx.Ctx.net default_profile
+
 (* Install a fault schedule (when given) on a micro pool's network. *)
 let install_faults ?faults eng topo =
   match faults with
@@ -101,13 +105,23 @@ let measure_rounds = 10
 
 (* Every experiment below decomposes into independent simulations (cells);
    [run_cells] evaluates them in input order — sequentially without a
-   pool (today's exact code path), concurrently with one.  Each cell
-   builds its own engine and machines, so cells share no mutable state
-   and the results are identical either way. *)
-let run_cells ?pool thunks =
-  match pool with
+   pool (today's exact code path), concurrently with the context's.  Each
+   cell builds its own engine and machines, so cells share no mutable
+   state and the results are identical either way. *)
+let run_cells ctx thunks =
+  match ctx.Ctx.pool with
   | None -> List.map (fun f -> f ()) thunks
   | Some p -> Exec.Pool.map_list p (fun f -> f ()) thunks
+
+(* [grid ctx outer inner cell]: one independent cell per (o, i) pair in
+   (outer, inner) order, fanned out over the context's pool and regrouped
+   by [o]. *)
+let grid ctx outer inner cell =
+  let results =
+    run_cells ctx (List.concat_map (fun o -> List.map (fun i () -> cell o i) inner) outer)
+  in
+  let n = List.length inner in
+  List.mapi (fun k o -> (o, List.filteri (fun j _ -> j / n = k) results)) outer
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: system-layer unicast/multicast (user space only) *)
@@ -174,11 +188,11 @@ let raw_pingpong ?faults ~mcast profile ~size () =
   (* Each round is two one-way messages. *)
   Sim.Time.to_ms (!t_end - !t_start) /. float_of_int (2 * measure_rounds)
 
-let unicast_latency ?faults ?(profile = default_profile) ~size () =
-  raw_pingpong ?faults ~mcast:false profile ~size ()
+let unicast_latency ?(ctx = Ctx.default) ~size () =
+  raw_pingpong ?faults:ctx.Ctx.faults ~mcast:false (ctx_profile ctx) ~size ()
 
-let multicast_latency ?faults ?(profile = default_profile) ~size () =
-  raw_pingpong ?faults ~mcast:true profile ~size ()
+let multicast_latency ?(ctx = Ctx.default) ~size () =
+  raw_pingpong ?faults:ctx.Ctx.faults ~mcast:true (ctx_profile ctx) ~size ()
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: RPC latency *)
@@ -251,12 +265,19 @@ let rpc_run ?recorder ?(window = `Measured) ?faults profile ~impl ~size ~rounds 
    | _ -> ());
   (List.rev !marks, machines)
 
-let rpc_latency ?faults ?(profile = default_profile) ~impl ~size () =
+(* Per-round latency over the measured rounds of a [rpc_run] or
+   [group_run]. *)
+let null_ms run ?faults profile ~impl ~size =
   let rounds = warmup_rounds + measure_rounds in
-  let marks, _ = rpc_run ?faults profile ~impl ~size ~rounds in
+  let marks, _ = run ?recorder:None ?window:None ?faults profile ~impl ~size ~rounds in
   let t0 = List.nth marks (warmup_rounds - 1) in
   let t1 = List.nth marks (rounds - 1) in
   Sim.Time.to_ms (t1 - t0) /. float_of_int measure_rounds
+
+let rpc_ms ?faults profile ~impl ~size = null_ms rpc_run ?faults profile ~impl ~size
+
+let rpc_latency ?(ctx = Ctx.default) ~impl ~size () =
+  rpc_ms ?faults:ctx.Ctx.faults (ctx_profile ctx) ~impl ~size
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: group latency *)
@@ -321,12 +342,10 @@ let group_run ?recorder ?(window = `Measured) ?faults profile ~impl ~size ~round
    | _ -> ());
   (List.rev !marks, machines)
 
-let group_latency ?faults ?(profile = default_profile) ~impl ~size () =
-  let rounds = warmup_rounds + measure_rounds in
-  let marks, _ = group_run ?faults profile ~impl ~size ~rounds in
-  let t0 = List.nth marks (warmup_rounds - 1) in
-  let t1 = List.nth marks (rounds - 1) in
-  Sim.Time.to_ms (t1 - t0) /. float_of_int measure_rounds
+let group_ms ?faults profile ~impl ~size = null_ms group_run ?faults profile ~impl ~size
+
+let group_latency ?(ctx = Ctx.default) ~impl ~size () =
+  group_ms ?faults:ctx.Ctx.faults (ctx_profile ctx) ~impl ~size
 
 type lat_row = {
   lr_size : int;
@@ -342,20 +361,20 @@ type lat_row = {
 
 let table1_sizes = [ 0; 1024; 2048; 3072; 4096 ]
 
-let table1 ?pool ?faults ?(profile = default_profile) ?(sizes = table1_sizes) () =
+let table1 ?(ctx = Ctx.default) ?(sizes = table1_sizes) () =
   (* One cell per (size, column): 8 independent simulations per row. *)
   let cells =
     List.concat_map
       (fun size ->
         [
-          (fun () -> unicast_latency ?faults ~profile ~size ());
-          (fun () -> multicast_latency ?faults ~profile ~size ());
-          (fun () -> rpc_latency ?faults ~profile ~impl:`User ~size ());
-          (fun () -> rpc_latency ?faults ~profile ~impl:`Kernel ~size ());
-          (fun () -> group_latency ?faults ~profile ~impl:`User ~size ());
-          (fun () -> group_latency ?faults ~profile ~impl:`Kernel ~size ());
-          (fun () -> rpc_latency ?faults ~profile ~impl:`Opt ~size ());
-          (fun () -> group_latency ?faults ~profile ~impl:`Opt ~size ());
+          (fun () -> unicast_latency ~ctx ~size ());
+          (fun () -> multicast_latency ~ctx ~size ());
+          (fun () -> rpc_latency ~ctx ~impl:`User ~size ());
+          (fun () -> rpc_latency ~ctx ~impl:`Kernel ~size ());
+          (fun () -> group_latency ~ctx ~impl:`User ~size ());
+          (fun () -> group_latency ~ctx ~impl:`Kernel ~size ());
+          (fun () -> rpc_latency ~ctx ~impl:`Opt ~size ());
+          (fun () -> group_latency ~ctx ~impl:`Opt ~size ());
         ])
       sizes
   in
@@ -377,7 +396,7 @@ let table1 ?pool ?faults ?(profile = default_profile) ?(sizes = table1_sizes) ()
       :: rows sizes vals
     | _ -> assert false
   in
-  rows sizes (run_cells ?pool cells)
+  rows sizes (run_cells ctx cells)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: throughput *)
@@ -464,9 +483,10 @@ type tput_row = {
   tr_opt : float;
 }
 
-let table2 ?pool ?faults ?(profile = default_profile) () =
+let table2 ?(ctx = Ctx.default) () =
+  let faults = ctx.Ctx.faults and profile = ctx_profile ctx in
   match
-    run_cells ?pool
+    run_cells ctx
       [
         (fun () -> rpc_throughput ?faults profile ~impl:`User);
         (fun () -> rpc_throughput ?faults profile ~impl:`Kernel);
@@ -486,7 +506,7 @@ let table2 ?pool ?faults ?(profile = default_profile) () =
 (* ------------------------------------------------------------------ *)
 (* Table 3 *)
 
-let table3 ?pool ?faults ?checked ?net ?(procs = [ 1; 8; 16; 32 ]) ?app_names () =
+let table3 ?ctx ?(procs = [ 1; 8; 16; 32 ]) ?app_names () =
   let apps =
     match app_names with
     | None -> Runner.apps
@@ -506,15 +526,15 @@ let table3 ?pool ?faults ?checked ?net ?(procs = [ 1; 8; 16; 32 ]) ?app_names ()
           procs)
       apps
   in
-  Runner.run_many ?pool ?faults ?checked ?net cells
+  Runner.run_many ?ctx cells
 
 (* ------------------------------------------------------------------ *)
 (* Breakdowns: re-measure the user/kernel gap with one mechanism at a
    time made free, mirroring the paper's §4.2/§4.3 accounting. *)
 
 let null_rpc_gap profile =
-  let user = rpc_latency ~profile ~impl:`User ~size:0 () in
-  let kernel = rpc_latency ~profile ~impl:`Kernel ~size:0 () in
+  let user = rpc_ms profile ~impl:`User ~size:0 in
+  let kernel = rpc_ms profile ~impl:`Kernel ~size:0 in
   (user -. kernel) *. 1000.
 
 let no_ctx_switches p =
@@ -541,7 +561,8 @@ let no_flip_extra p =
 
 (* The RPC gap decomposes cleanly as a differential (re-measure the gap
    with one mechanism free at a time). *)
-let rpc_breakdown ?pool () =
+let rpc_breakdown ?(ctx = Ctx.default) () =
+  let base = ctx_profile ctx in
   let labelled =
     [
       ("context switches", no_ctx_switches);
@@ -552,11 +573,9 @@ let rpc_breakdown ?pool () =
     ]
   in
   let gaps =
-    run_cells ?pool
-      ((fun () -> null_rpc_gap default_profile)
-       :: List.map
-            (fun (_, transform) () -> null_rpc_gap (transform default_profile))
-            labelled)
+    run_cells ctx
+      ((fun () -> null_rpc_gap base)
+       :: List.map (fun (_, transform) () -> null_rpc_gap (transform base)) labelled)
   in
   match gaps with
   | base :: rest ->
@@ -567,13 +586,12 @@ let rpc_breakdown ?pool () =
 (* The group paths interleave with the wire on both sides, so differential
    gaps are unstable; decompose the user-space latency itself instead (how
    much of it each mechanism costs), next to the measured total gap. *)
-let group_breakdown ?pool () =
-  let user transform () =
-    group_latency ~profile:(transform default_profile) ~impl:`User ~size:0 () *. 1000.
-  in
-  let kernel () = group_latency ~impl:`Kernel ~size:0 () *. 1000. in
+let group_breakdown ?(ctx = Ctx.default) () =
+  let base = ctx_profile ctx in
+  let user transform () = group_ms (transform base) ~impl:`User ~size:0 *. 1000. in
+  let kernel () = group_ms base ~impl:`Kernel ~size:0 *. 1000. in
   match
-    run_cells ?pool
+    run_cells ctx
       [
         user Fun.id;
         kernel;
@@ -615,12 +633,12 @@ let user_flip_ns r = Obs.Recorder.ledger_ns r ~layer:Obs.Layer.Flip ~cause:Obs.C
 
 (* Records the measured rounds of one null run; returns the recorder and
    the per-round latency in µs. *)
-let recorded_null run impl =
+let recorded_null run profile impl =
   let rounds = warmup_rounds + measure_rounds in
   let r = Obs.Recorder.create () in
   let marks, _ =
-    run ?recorder:(Some r) ?window:(Some `Measured) ?faults:None default_profile
-      ~impl ~size:0 ~rounds
+    run ?recorder:(Some r) ?window:(Some `Measured) ?faults:None profile ~impl
+      ~size:0 ~rounds
   in
   let t0 = List.nth marks (warmup_rounds - 1) in
   let t1 = List.nth marks (rounds - 1) in
@@ -628,15 +646,16 @@ let recorded_null run impl =
 
 let us_per_round ns = float_of_int ns /. float_of_int measure_rounds /. 1000.
 
-let measured_breakdown ?pool () =
+let measured_breakdown ?(ctx = Ctx.default) () =
   (* Four independent recorded runs; the accounting below is pure. *)
+  let p = ctx_profile ctx in
   let runs =
-    run_cells ?pool
+    run_cells ctx
       [
-        (fun () -> recorded_null rpc_run `User);
-        (fun () -> recorded_null rpc_run `Kernel);
-        (fun () -> recorded_null group_run `User);
-        (fun () -> recorded_null group_run `Kernel);
+        (fun () -> recorded_null rpc_run p `User);
+        (fun () -> recorded_null rpc_run p `Kernel);
+        (fun () -> recorded_null group_run p `User);
+        (fun () -> recorded_null group_run p `Kernel);
       ]
   in
   let rpc_u, rpc_k, grp_u, grp_k =
@@ -762,16 +781,17 @@ let diff_breakdown (ru, lat_u) (ro, lat_o) kernel_us =
     ob_residual_us = sum (fun cl -> mechanism_of_cause cl.oc_cause = None);
   }
 
-let optimized_breakdown ?pool () =
+let optimized_breakdown ?(ctx = Ctx.default) () =
+  let p = ctx_profile ctx in
   match
-    run_cells ?pool
+    run_cells ctx
       [
-        (fun () -> `Rec (recorded_null rpc_run `User));
-        (fun () -> `Rec (recorded_null rpc_run `Opt));
-        (fun () -> `Lat (rpc_latency ~impl:`Kernel ~size:0 () *. 1000.));
-        (fun () -> `Rec (recorded_null group_run `User));
-        (fun () -> `Rec (recorded_null group_run `Opt));
-        (fun () -> `Lat (group_latency ~impl:`Kernel ~size:0 () *. 1000.));
+        (fun () -> `Rec (recorded_null rpc_run p `User));
+        (fun () -> `Rec (recorded_null rpc_run p `Opt));
+        (fun () -> `Lat (rpc_ms p ~impl:`Kernel ~size:0 *. 1000.));
+        (fun () -> `Rec (recorded_null group_run p `User));
+        (fun () -> `Rec (recorded_null group_run p `Opt));
+        (fun () -> `Lat (group_ms p ~impl:`Kernel ~size:0 *. 1000.));
       ]
   with
   | [ `Rec ru; `Rec ro; `Lat rk; `Rec gu; `Rec go; `Lat gk ] ->
@@ -798,26 +818,27 @@ let pp_opt_breakdown fmt ob =
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
 
-let ablation_dedicated_sequencer ?pool ?(procs = [ 8; 16; 32 ]) () =
+let ablation_dedicated_sequencer ?ctx ?(procs = [ 8; 16; 32 ]) () =
   let app = Runner.app_named "leq" in
-  Runner.run_many ?pool
+  Runner.run_many ?ctx
     (List.concat_map
        (fun p -> [ (Cluster.User, p, app); (Cluster.User_dedicated, p, app) ])
        procs)
 
-let ablation_nonblocking ?pool () =
+let ablation_nonblocking ?(ctx = Ctx.default) () =
   (* Time the sender perceives per broadcast, blocking vs nonblocking. *)
+  let profile = ctx_profile ctx in
   let measure ~nonblocking =
-    let eng, machines, flips, _topo = micro_pool default_profile 2 in
+    let eng, machines, flips, _topo = micro_pool profile 2 in
     let sys =
       Array.mapi
         (fun i flip ->
-          Panda.System_layer.create ~config:default_profile.p_psys
+          Panda.System_layer.create ~config:profile.p_psys
             ~name:(Printf.sprintf "s%d" i) flip)
         flips
     in
     let _grp, members =
-      Panda.Group.create_static ~config:default_profile.p_pgrp ~name:"nb"
+      Panda.Group.create_static ~config:profile.p_pgrp ~name:"nb"
         ~sequencer:(Panda.Group.On_member 1) sys
     in
     Array.iter (fun m -> Panda.Group.set_handler m (fun ~sender:_ ~size:_ _ -> ())) members;
@@ -837,7 +858,7 @@ let ablation_nonblocking ?pool () =
     Sim.Time.to_ms (t1 - t0) /. float_of_int measure_rounds
   in
   match
-    run_cells ?pool
+    run_cells ctx
       [
         (fun () -> measure ~nonblocking:false);
         (fun () -> measure ~nonblocking:true);
@@ -847,14 +868,15 @@ let ablation_nonblocking ?pool () =
     [ ("blocking send (ms)", blocking); ("nonblocking send (ms)", nonblocking) ]
   | _ -> assert false
 
-let ablation_migration ?pool () =
+let ablation_migration ?(ctx = Ctx.default) () =
   (* A central object accessed overwhelmingly by one remote process: with
      static placement every access is an RPC; the adaptive heuristic
      migrates the object to the accessor. *)
+  let profile = ctx_profile ctx in
   let run placement =
-    let eng, _machines, flips, _topo = micro_pool default_profile 2 in
-    let backends = Orca.Backend.user_stack ~sys_config:default_profile.p_psys
-        ~rpc_config:default_profile.p_prpc ~group_config:default_profile.p_pgrp flips () in
+    let eng, _machines, flips, _topo = micro_pool profile 2 in
+    let backends = Orca.Backend.user_stack ~sys_config:profile.p_psys
+        ~rpc_config:profile.p_prpc ~group_config:profile.p_pgrp flips () in
     let dom = Orca.Rts.create_domain backends in
     let od =
       Orca.Rts.declare dom ~name:"cell" ~placement ~init:(fun ~rank:_ -> ref 0)
@@ -876,7 +898,7 @@ let ablation_migration ?pool () =
   in
   let static_run, adaptive_run =
     match
-      run_cells ?pool
+      run_cells ctx
         [
           (fun () -> run (Orca.Rts.Owned 0));
           (fun () -> run (Orca.Rts.Adaptive { owner = 0; state_bytes = 128 }));
@@ -900,28 +922,29 @@ let ablation_migration ?pool () =
    network interface, so its per-packet kernel crossings and the untuned
    user-level FLIP interface go away (a trap-free fast path), while the
    kernel stack is unchanged. *)
-let ablation_user_level_network ?pool () =
+let ablation_user_level_network ?(ctx = Ctx.default) () =
+  let base = ctx_profile ctx in
   let user_mapped =
-    { default_profile with
+    { base with
       p_psys =
-        { default_profile.p_psys with
+        { base.p_psys with
           Panda.System_layer.user_flip_extra = 0;
           recv_fixed = Sim.Time.us 15 };
-      p_machine = { default_profile.p_machine with Mach.syscall_base = Sim.Time.us 3 } }
+      p_machine = { base.p_machine with Mach.syscall_base = Sim.Time.us 3 } }
   in
   (* Only the user columns are meaningful under the modified machine: the
      kernel numbers come from the untouched default profile. *)
   let base_user, mapped_user, base_kernel, grp_base_user, grp_mapped_user,
       grp_base_kernel =
     match
-      run_cells ?pool
+      run_cells ctx
         [
-          (fun () -> rpc_latency ~impl:`User ~size:0 ());
-          (fun () -> rpc_latency ~profile:user_mapped ~impl:`User ~size:0 ());
-          (fun () -> rpc_latency ~impl:`Kernel ~size:0 ());
-          (fun () -> group_latency ~impl:`User ~size:0 ());
-          (fun () -> group_latency ~profile:user_mapped ~impl:`User ~size:0 ());
-          (fun () -> group_latency ~impl:`Kernel ~size:0 ());
+          (fun () -> rpc_ms base ~impl:`User ~size:0);
+          (fun () -> rpc_ms user_mapped ~impl:`User ~size:0);
+          (fun () -> rpc_ms base ~impl:`Kernel ~size:0);
+          (fun () -> group_ms base ~impl:`User ~size:0);
+          (fun () -> group_ms user_mapped ~impl:`User ~size:0);
+          (fun () -> group_ms base ~impl:`Kernel ~size:0);
         ]
     with
     | [ a; b; c; d; e; f ] -> (a, b, c, d, e, f)
@@ -956,12 +979,16 @@ type fault_row = {
   fw_violations : int;
 }
 
-let fault_sweep ?pool ?net ?(rates = [ 0.; 0.001; 0.01; 0.05 ]) ?(app_name = "tsp")
-    ?(procs = 8) ?(seed = 1) () =
+let fault_sweep ?(ctx = Ctx.default) ?(rates = [ 0.; 0.001; 0.01; 0.05 ])
+    ?(app_name = "tsp") ?(procs = 8) ?seed () =
   let app = Runner.app_named app_name in
   Runner.prepare app;
-  let profile =
-    match net with Some np -> with_net np default_profile | None -> default_profile
+  let profile = ctx_profile ctx in
+  let seed =
+    match (seed, ctx.Ctx.faults) with
+    | Some s, _ -> s
+    | None, Some f -> f.Faults.Spec.seed
+    | None, None -> 1
   in
   let cell impl rate () =
     let faults = if rate > 0. then Some (Faults.Spec.loss ~seed rate) else None in
@@ -971,9 +998,12 @@ let fault_sweep ?pool ?net ?(rates = [ 0.; 0.001; 0.01; 0.05 ]) ?(app_name = "ts
       | Cluster.User_optimized -> `Opt
       | _ -> `User
     in
-    let rpc = rpc_latency ?faults ~profile ~impl:micro ~size:0 () in
-    let grp = group_latency ?faults ~profile ~impl:micro ~size:0 () in
-    let o = Runner.run ?faults ?net ~checked:true ~impl ~procs app in
+    let rpc = rpc_ms ?faults profile ~impl:micro ~size:0 in
+    let grp = group_ms ?faults profile ~impl:micro ~size:0 in
+    let o =
+      Runner.run ?faults ~net:ctx.Ctx.net ~lanes:ctx.Ctx.lanes ~checked:true ~impl
+        ~procs app
+    in
     {
       fw_impl = impl;
       fw_rate = rate;
@@ -992,7 +1022,7 @@ let fault_sweep ?pool ?net ?(rates = [ 0.; 0.001; 0.01; 0.05 ]) ?(app_name = "ts
       (fun impl -> List.map (fun rate -> cell impl rate) rates)
       [ Cluster.Kernel; Cluster.User; Cluster.User_optimized ]
   in
-  run_cells ?pool cells
+  run_cells ctx cells
 
 let pp_fault_row fmt r =
   Format.fprintf fmt
@@ -1011,17 +1041,21 @@ let pp_fault_row fmt r =
 
 let load_impls = [ Cluster.Kernel; Cluster.User; Cluster.User_optimized ]
 
-let load_cell ?faults ?(checked = false) ?net ?client_ranks
-    ?(policy = Panda.Seq_policy.Single) ~nodes ~impl cfg () =
+let load_cell ?(ctx = Ctx.default) ?client_ranks ?(policy = Panda.Seq_policy.Single)
+    ~nodes ~impl cfg () =
   let cluster =
-    Cluster.create ~extra_machine:(impl = Cluster.User_dedicated) ?net ~n:nodes ()
+    Cluster.create ~extra_machine:(impl = Cluster.User_dedicated) ~net:ctx.Ctx.net
+      ~lanes:ctx.Ctx.lanes ~n:nodes ()
   in
+  let faults = ctx.Ctx.faults in
   (match faults with
    | Some spec ->
      ignore (Faults.Inject.install cluster.Cluster.eng cluster.Cluster.topo spec)
    | None -> ());
   let shards = Panda.Seq_policy.shards policy in
-  let checker = if checked then Some (Faults.Invariants.create ~shards ()) else None in
+  let checker =
+    if ctx.Ctx.checked then Some (Faults.Invariants.create ~shards ()) else None
+  in
   let backends = Cluster.backends ?checker ~policy cluster impl in
   (match faults with
    | Some { Faults.Spec.seq_crash = Some at; _ } ->
@@ -1042,26 +1076,13 @@ let load_cell ?faults ?(checked = false) ?net ?client_ranks
 
 let load_rates = [ 200.; 400.; 800.; 1200.; 1600.; 2000. ]
 
-let load_sweep ?pool ?faults ?checked ?net ?(nodes = 4)
+let load_sweep ?(ctx = Ctx.default) ?(nodes = 4)
     ?(config = Load.Clients.default) ?(rates = load_rates) ?(impls = load_impls)
     () =
-  let cells =
-    List.concat_map
-      (fun impl ->
-        List.map
-          (fun rate () ->
-            load_cell ?faults ?checked ?net ~nodes ~impl
-              { config with Load.Clients.rate } ())
-          rates)
-      impls
-  in
-  let results = run_cells ?pool cells in
-  let nr = List.length rates in
-  List.mapi
-    (fun i impl ->
-      let points = List.filteri (fun j _ -> j / nr = i) results in
-      (impl, Load.Sweep.curve points))
-    impls
+  List.map
+    (fun (impl, points) -> (impl, Load.Sweep.curve points))
+    (grid ctx impls rates (fun impl rate ->
+         load_cell ~ctx ~nodes ~impl { config with Load.Clients.rate } ()))
 
 (* ------------------------------------------------------------------ *)
 (* Loss x load tail grids.  The protocols' 200 ms retransmission timeout
@@ -1083,7 +1104,7 @@ type tail_cell = {
 
 let tail_losses = [ 0.; 0.001; 0.01; 0.03 ]
 
-let tail_grid ?pool ?net ?(nodes = 4) ?(config = Load.Clients.default)
+let tail_grid ?(ctx = Ctx.default) ?(nodes = 4) ?(config = Load.Clients.default)
     ?(losses = tail_losses) ?(rates = [ 200.; 800. ]) ?(impls = load_impls) () =
   (* The amplification baseline is the loss-free cell, so make sure the
      grid contains one even when the caller's list omits it. *)
@@ -1106,12 +1127,12 @@ let tail_grid ?pool ?net ?(nodes = 4) ?(config = Load.Clients.default)
     List.map
       (fun (impl, loss, rate) () ->
         let faults = if loss > 0. then Some (Faults.Spec.loss loss) else None in
-        load_cell ?faults ?net ~nodes ~impl
+        load_cell ~ctx:{ ctx with Ctx.faults } ~nodes ~impl
           { config with Load.Clients.rate }
           ())
       coords
   in
-  let results = run_cells ?pool cells in
+  let results = run_cells ctx cells in
   let grid = List.combine coords results in
   let baseline impl rate =
     match
@@ -1147,9 +1168,10 @@ let pp_tail_cell fmt c =
    sends, so its utilization is pure sequencing. *)
 let sequencer_senders = [ 1; 2; 4; 7 ]
 
-let sequencer_saturation ?pool ?faults ?checked ?net ?(nodes = 8)
-    ?(senders = sequencer_senders) ?(clients_per_node = 2)
-    ?(config = Load.Clients.default) ?(impls = load_impls) ?policy () =
+(* The closed-loop sender grid both sequencer experiments run: zero-think
+   group senders on ranks [1..s] for each [s] in [senders], one row per
+   [outer] key. *)
+let sender_grid ctx ~name ~nodes ~senders ~clients_per_node ~config outer cell =
   let cfg =
     {
       config with
@@ -1158,26 +1180,18 @@ let sequencer_saturation ?pool ?faults ?checked ?net ?(nodes = 8)
       clients_per_node;
     }
   in
-  let cells =
-    List.concat_map
-      (fun impl ->
-        List.map
-          (fun s () ->
-            if s >= nodes then
-              invalid_arg "Experiments.sequencer_saturation: senders >= nodes";
-            let client_ranks = List.init s (fun i -> i + 1) in
-            load_cell ?faults ?checked ?net ?policy ~client_ranks ~nodes ~impl
-              cfg ())
-          senders)
-      impls
-  in
-  let results = run_cells ?pool cells in
-  let ns = List.length senders in
-  List.mapi
-    (fun i impl ->
-      let points = List.filteri (fun j _ -> j / ns = i) results in
-      (impl, List.combine senders points))
-    impls
+  List.map
+    (fun (o, points) -> (o, List.combine senders points))
+    (grid ctx outer senders (fun o s ->
+         if s >= nodes then invalid_arg ("Experiments." ^ name ^ ": senders >= nodes");
+         cell o (List.init s (fun i -> i + 1)) cfg))
+
+let sequencer_saturation ?(ctx = Ctx.default) ?(nodes = 8)
+    ?(senders = sequencer_senders) ?(clients_per_node = 2)
+    ?(config = Load.Clients.default) ?(impls = load_impls) ?policy () =
+  sender_grid ctx ~name:"sequencer_saturation" ~nodes ~senders ~clients_per_node ~config
+    impls (fun impl client_ranks cfg ->
+      load_cell ~ctx ?policy ~client_ranks ~nodes ~impl cfg ())
 
 let pp_saturation_row fmt (s, m) =
   Format.fprintf fmt
@@ -1195,38 +1209,13 @@ let pp_saturation_row fmt (s, m) =
    wall, each other policy is one engineering answer to it. *)
 let sequencer_policies = Panda.Seq_policy.sweep
 
-let sequencer_policy_sweep ?pool ?faults ?checked ?net ?(nodes = 8)
+let sequencer_policy_sweep ?(ctx = Ctx.default) ?(nodes = 8)
     ?(senders = sequencer_senders) ?(clients_per_node = 2)
     ?(config = Load.Clients.default) ?(impl = Cluster.User)
     ?(policies = sequencer_policies) () =
-  let cfg =
-    {
-      config with
-      Load.Clients.op = Load.Clients.Group;
-      arrival = Load.Arrival.Closed 0;
-      clients_per_node;
-    }
-  in
-  let cells =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun s () ->
-            if s >= nodes then
-              invalid_arg "Experiments.sequencer_policy_sweep: senders >= nodes";
-            let client_ranks = List.init s (fun i -> i + 1) in
-            load_cell ?faults ?checked ?net ~policy ~client_ranks ~nodes ~impl
-              cfg ())
-          senders)
-      policies
-  in
-  let results = run_cells ?pool cells in
-  let ns = List.length senders in
-  List.mapi
-    (fun i policy ->
-      let points = List.filteri (fun j _ -> j / ns = i) results in
-      (policy, List.combine senders points))
-    policies
+  sender_grid ctx ~name:"sequencer_policy_sweep" ~nodes ~senders ~clients_per_node
+    ~config policies (fun policy client_ranks cfg ->
+      load_cell ~ctx ~policy ~client_ranks ~nodes ~impl cfg ())
 
 let pp_policy_row fmt (policy, (s, m)) =
   let shard_note =
@@ -1311,14 +1300,11 @@ type xcell = {
    plus the ledger partition, the busiest segment's utilization over the
    window, and the DHT's own coherence counters (client-observed torn
    blocks plus the post-drain at-rest scan). *)
-let dht_cell ?faults ?(checked = false) ~net ~stack ~read_pct ~params ~nodes
-    cfg () =
-  let cluster = Cluster.create ~net ~n:nodes () in
+let dht_cell ctx ~net ~stack ~read_pct ~params ~nodes cfg =
+  let cluster = Cluster.create ~net ~lanes:ctx.Ctx.lanes ~n:nodes () in
   let eng = cluster.Cluster.eng in
-  (match faults with
-   | Some spec -> ignore (Faults.Inject.install eng cluster.Cluster.topo spec)
-   | None -> ());
-  let checker = if checked then Some (Faults.Invariants.create ()) else None in
+  install_faults ?faults:ctx.Ctx.faults eng cluster.Cluster.topo;
+  let checker = if ctx.Ctx.checked then Some (Faults.Invariants.create ()) else None in
   let dp = { params with Apps.Dht.dh_read_pct = read_pct } in
   let recorder = Obs.Recorder.create () in
   (* Wire-busy snapshots at the window edges (scheduled before the load
@@ -1378,8 +1364,7 @@ let dht_cell ?faults ?(checked = false) ~net ~stack ~read_pct ~params ~nodes
 
 let crossover_nets = [ Params.net10m; Params.net100m; Params.net1g ]
 
-let onesided_crossover ?pool ?faults ?checked
-    ?(nets = crossover_nets) ?(stacks = Cluster.all_stacks)
+let onesided_crossover ?(ctx = Ctx.default) ?(nets = crossover_nets) ?(stacks = Cluster.all_stacks)
     ?(read_pcts = [ 90 ]) ?(nodes = 4) ?(params = Apps.Dht.default_params)
     ?(config = { Load.Clients.default with Load.Clients.clients_per_node = 2 })
     () =
@@ -1397,12 +1382,10 @@ let onesided_crossover ?pool ?faults ?checked
             List.map
               (fun stack () ->
                 let lat, _, _, _, _, lat_viol =
-                  dht_cell ?faults ?checked ~net ~stack ~read_pct ~params
-                    ~nodes lat_cfg ()
+                  dht_cell ctx ~net ~stack ~read_pct ~params ~nodes lat_cfg
                 in
                 let cap, ledger, wire, gets, puts, cap_viol =
-                  dht_cell ?faults ?checked ~net ~stack ~read_pct ~params
-                    ~nodes cap_cfg ()
+                  dht_cell ctx ~net ~stack ~read_pct ~params ~nodes cap_cfg
                 in
                 {
                   xc_net = net.Params.np_name;
@@ -1420,7 +1403,7 @@ let onesided_crossover ?pool ?faults ?checked
           read_pcts)
       nets
   in
-  run_cells ?pool cells
+  run_cells ctx cells
 
 type crossover_row = {
   xs_net : string;
@@ -1525,10 +1508,10 @@ let pp_crossover_row fmt r =
     (if r.xs_os_wins then "ONE-SIDED WINS" else "rpc holds")
     r.xs_mechanism
 
-let ablation_continuations ?pool ?(procs = 16) () =
+let ablation_continuations ?ctx ?(procs = 16) () =
   let app = Runner.app_named "rl" in
   match
-    Runner.run_many ?pool [ (Cluster.Kernel, procs, app); (Cluster.User, procs, app) ]
+    Runner.run_many ?ctx [ (Cluster.Kernel, procs, app); (Cluster.User, procs, app) ]
   with
   | [ k; u ] ->
     [
@@ -1582,13 +1565,13 @@ let cluster_default_config =
     window = Sim.Time.ms 400;
   }
 
-let cluster_cell ?faults ?(checked = false) ?net ?lanes ?(shards = 32)
-    ?(replicas = 1) ?(service_params = Shard.Service.default_params) ?rebalance
-    ~nodes ~stack ~skew cfg () =
-  let cluster = Cluster.create ?net ?lanes ~n:nodes () in
+let cluster_cell ?(ctx = Ctx.default) ?(shards = 32) ?(replicas = 1)
+    ?(service_params = Shard.Service.default_params) ?rebalance ~nodes ~stack ~skew
+    cfg () =
+  let cluster = Cluster.create ~net:ctx.Ctx.net ~lanes:ctx.Ctx.lanes ~n:nodes () in
   let eng = cluster.Cluster.eng in
-  install_faults ?faults eng cluster.Cluster.topo;
-  let checker = if checked then Some (Faults.Invariants.create ()) else None in
+  install_faults ?faults:ctx.Ctx.faults eng cluster.Cluster.topo;
+  let checker = if ctx.Ctx.checked then Some (Faults.Invariants.create ()) else None in
   (* The one-sided service has no server threads to hand shards between,
      so it runs unreplicated and statically placed. *)
   let replicas = match stack with Cluster.One_sided -> 1 | _ -> replicas in
@@ -1731,8 +1714,8 @@ let cluster_rates = [ 2000.; 4000.; 8000. ]
 (* The tentpole sweep: nodes x stack x skew, each combination ramped over
    offered rates to its saturation knee.  Open-loop uniform arrivals so
    the knee is against a configured offered load. *)
-let cluster_sweep ?pool ?faults ?checked ?net ?lanes ?shards ?replicas
-    ?service_params ?rebalance ?(nodes = cluster_nodes)
+let cluster_sweep ?(ctx = Ctx.default) ?shards ?replicas ?service_params ?rebalance
+    ?(nodes = cluster_nodes)
     ?(stacks = cluster_stacks) ?(skews = cluster_skews)
     ?(rates = cluster_rates) ?(config = cluster_default_config) () =
   let combos =
@@ -1743,26 +1726,13 @@ let cluster_sweep ?pool ?faults ?checked ?net ?lanes ?shards ?replicas
           stacks)
       nodes
   in
-  let cells =
-    List.concat_map
-      (fun (n, stack, skew) ->
-        List.map
-          (fun rate () ->
-            cluster_cell ?faults ?checked ?net ?lanes ?shards ?replicas
-              ?service_params ?rebalance ~nodes:n ~stack ~skew
-              { config with Load.Clients.rate }
-              ())
-          rates)
-      combos
-  in
-  let results = run_cells ?pool cells in
-  let nr = List.length rates in
-  List.mapi
-    (fun i combo ->
-      let points = List.filteri (fun j _ -> j / nr = i) results in
+  List.map
+    (fun (combo, points) ->
       let curve = Load.Sweep.curve (List.map (fun c -> c.cc_metrics) points) in
       (combo, points, Load.Sweep.knee curve))
-    combos
+    (grid ctx combos rates (fun (n, stack, skew) rate ->
+         cluster_cell ~ctx ?shards ?replicas ?service_params ?rebalance ~nodes:n ~stack
+           ~skew { config with Load.Clients.rate } ()))
 
 (* The migration A/B: the identical skewed closed-loop workload twice —
    static placement vs the ledger-driven rebalancer — so the achieved
@@ -1783,22 +1753,20 @@ let cluster_ab_rebalance =
     Shard.Rebalancer.rb_interval = Sim.Time.ms 50;
   }
 
-let cluster_migration_ab ?pool ?faults ?checked ?net ?lanes ?shards ?replicas
-    ?service_params ?(rebalance = cluster_ab_rebalance) ?(nodes = 64)
+let cluster_migration_ab ?(ctx = Ctx.default) ?shards ?replicas ?service_params ?(rebalance = cluster_ab_rebalance) ?(nodes = 64)
     ?(stack = Cluster.Rpc_stack Cluster.User_optimized)
     ?(skew = Load.Keys.Zipf 1.2) ?(config = cluster_ab_config) () =
   let cfg = { config with Load.Clients.arrival = Load.Arrival.Closed 0 } in
   let cells =
     [
       (fun () ->
-        cluster_cell ?faults ?checked ?net ?lanes ?shards ?replicas
-          ?service_params ~nodes ~stack ~skew cfg ());
+        cluster_cell ~ctx ?shards ?replicas ?service_params ~nodes ~stack ~skew cfg ());
       (fun () ->
-        cluster_cell ?faults ?checked ?net ?lanes ?shards ?replicas
-          ?service_params ~rebalance ~nodes ~stack ~skew cfg ());
+        cluster_cell ~ctx ?shards ?replicas ?service_params ~rebalance ~nodes ~stack
+          ~skew cfg ());
     ]
   in
-  match run_cells ?pool cells with
+  match run_cells ctx cells with
   | [ static_cell; rebalanced ] -> (static_cell, rebalanced)
   | _ -> assert false
 

@@ -1,41 +1,18 @@
 (** Reproduction drivers for every table and in-text measurement of the
     paper's evaluation (§4 and §5). *)
 
-(** A complete set of cost parameters; ablations run the same experiment
-    under modified profiles. *)
-type profile = {
-  p_machine : Machine.Mach.config;
-  p_nic : Net.Nic.config;
-  p_segment : Net.Segment.config;
-  p_switch : Sim.Time.span;
-  p_flip : Flip.Flip_iface.config;
-  p_arpc : Amoeba.Rpc.config;
-  p_agrp : Amoeba.Group.config;
-  p_psys : Panda.System_layer.config;
-  p_prpc : Panda.Rpc.config;
-  p_pgrp : Panda.Group.config;
-}
-
-val default_profile : profile
-
-val with_net : Params.net_profile -> profile -> profile
-(** Re-skins the profile's wire, switch and NIC constants with a network
-    era's, keeping every machine and protocol cost at its 1995 value —
-    the microbenchmark side of the [--profile] switch. *)
-
-val optimize_profile : profile -> profile
-(** Switches the profile's Panda configs to the optimized user-space stack
-    (single fragmentation, scatter-gather zero-copy, compact merged
-    headers, receive fast path) — the same configs
-    {!Cluster.User_optimized} uses.  The [`Opt] impl below is shorthand
-    for the user code path under this transform. *)
-
-(** Every driver below optionally takes [?pool].  Each table cell,
-    latency point, breakdown arm and ablation arm is an independent
-    simulation; with a pool they run concurrently on its domains and are
-    reassembled in canonical order, so the results — and thus every
-    printed table — are identical to the sequential ([?pool] absent)
-    path. *)
+(** Every driver below takes an optional run context [?ctx] (default
+    {!Ctx.default}).  Each table cell, latency point, breakdown arm and
+    ablation arm is an independent simulation; with [ctx.pool] they run
+    concurrently on its domains and are reassembled in canonical order, so
+    the results — and thus every printed table — are identical to the
+    sequential path.  [ctx.faults] is installed on each cell's freshly
+    built network (per-cell injector streams, so fan-out stays
+    deterministic), [ctx.checked] interposes the conformance checkers,
+    [ctx.net] picks the network era (the microbenchmarks re-skin their
+    wire, switch and NIC constants with it, keeping every machine and
+    protocol cost at its 1995 value) and [ctx.lanes] shards every
+    multi-segment cluster into engine lanes. *)
 
 (** {1 Table 1: latencies} *)
 
@@ -51,38 +28,21 @@ type lat_row = {
   lr_grp_opt : float;  (** optimized user-space stack *)
 }
 
-val table1 :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?profile:profile ->
-  ?sizes:int list ->
-  unit ->
-  lat_row list
-(** Sizes 0..4 KB (override with [?sizes]), as the paper's Table 1.
-    Every driver taking [?faults] installs that schedule on each cell's
-    freshly built network (per-cell injector streams, so [?pool] fan-out
-    stays deterministic). *)
+val table1 : ?ctx:Ctx.t -> ?sizes:int list -> unit -> lat_row list
+(** Sizes 0..4 KB (override with [?sizes]), as the paper's Table 1. *)
 
-val unicast_latency : ?faults:Faults.Spec.t -> ?profile:profile -> size:int -> unit -> float
-
-val multicast_latency :
-  ?faults:Faults.Spec.t -> ?profile:profile -> size:int -> unit -> float
+val unicast_latency : ?ctx:Ctx.t -> size:int -> unit -> float
+val multicast_latency : ?ctx:Ctx.t -> size:int -> unit -> float
 
 val rpc_latency :
-  ?faults:Faults.Spec.t ->
-  ?profile:profile ->
-  impl:[ `User | `Kernel | `Opt ] ->
-  size:int ->
-  unit ->
-  float
+  ?ctx:Ctx.t -> impl:[ `User | `Kernel | `Opt ] -> size:int -> unit -> float
+(** [`Opt] is the user code path under the optimized user-space stack's
+    configs (single fragmentation, scatter-gather zero-copy, compact
+    merged headers, receive fast path) — the same configs
+    {!Cluster.User_optimized} uses. *)
 
 val group_latency :
-  ?faults:Faults.Spec.t ->
-  ?profile:profile ->
-  impl:[ `User | `Kernel | `Opt ] ->
-  size:int ->
-  unit ->
-  float
+  ?ctx:Ctx.t -> impl:[ `User | `Kernel | `Opt ] -> size:int -> unit -> float
 
 (** {1 Table 2: throughputs} *)
 
@@ -93,25 +53,15 @@ type tput_row = {
   tr_opt : float;  (** KB/s, optimized user-space stack *)
 }
 
-val table2 :
-  ?pool:Exec.Pool.t -> ?faults:Faults.Spec.t -> ?profile:profile -> unit -> tput_row list
+val table2 : ?ctx:Ctx.t -> unit -> tput_row list
 
 (** {1 Table 3: the six applications} *)
 
 val table3 :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
-  ?procs:int list ->
-  ?app_names:string list ->
-  unit ->
-  Runner.outcome list
+  ?ctx:Ctx.t -> ?procs:int list -> ?app_names:string list -> unit -> Runner.outcome list
 (** Runs every application at each processor count under kernel-space,
     user-space and optimized user-space protocols, plus the
-    dedicated-sequencer variant for LEQ (the paper's extra row).
-    [?faults]/[?checked] run every cell under that fault schedule and/or
-    with the conformance checkers on. *)
+    dedicated-sequencer variant for LEQ (the paper's extra row). *)
 
 (** {1 Fault sweep: degradation vs. loss rate} *)
 
@@ -129,8 +79,7 @@ type fault_row = {
 }
 
 val fault_sweep :
-  ?pool:Exec.Pool.t ->
-  ?net:Params.net_profile ->
+  ?ctx:Ctx.t ->
   ?rates:float list ->
   ?app_name:string ->
   ?procs:int ->
@@ -139,24 +88,21 @@ val fault_sweep :
   fault_row list
 (** Latency/correctness degradation of all three stacks as frame loss
     rises (default rates 0, 0.1%, 1%, 5%; default app [tsp] at 8
-    processors).  The application cell runs in checked mode, so each row
-    doubles as a conformance certificate at that loss rate. *)
+    processors).  Each rate is its own i.i.d. loss schedule, seeded by
+    [seed] (default: [ctx.faults]' seed, else 1); the rest of
+    [ctx.faults] is not used.  The application cell always runs in
+    checked mode, so each row doubles as a conformance certificate at
+    that loss rate. *)
 
 val pp_fault_row : Format.formatter -> fault_row -> unit
 
 (** {1 Load sweeps: capacity analysis under sustained traffic} *)
 
-val load_rates : float list
-(** Default offered-load ramp (ops/s aggregate), crossing every stack's
-    saturation knee. *)
-
 val load_impls : Cluster.impl list
 (** The three stacks compared throughout: kernel, user, optimized. *)
 
 val load_cell :
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
+  ?ctx:Ctx.t ->
   ?client_ranks:int list ->
   ?policy:Panda.Seq_policy.t ->
   nodes:int ->
@@ -166,15 +112,12 @@ val load_cell :
   Load.Metrics.t
 (** One independent operating point: a fresh [nodes]-machine cluster
     running [config]'s client population against the rank-0 echo server,
-    with optional fault schedule (including its [seqcrash]) and
+    with [ctx]'s fault schedule (including its [seqcrash]) and
     conformance checkers.  The unit of fan-out for every sweep below,
     and the direct way to run a single cell — e.g. a trace replay. *)
 
 val load_sweep :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
+  ?ctx:Ctx.t ->
   ?nodes:int ->
   ?config:Load.Clients.config ->
   ?rates:float list ->
@@ -185,8 +128,9 @@ val load_sweep :
     [nodes]-machine cluster (default 4) where every non-server rank runs
     [config]'s client population (default {!Load.Clients.default}: null
     RPCs, uniform arrivals) against the rank-0 echo server.  [config]'s
-    [rate] is overridden by each ramp point.  With [?checked] each cell
-    runs under the conformance checkers and reports violations. *)
+    [rate] is overridden by each point of [rates] (default 200 to 2000
+    ops/s, crossing every stack's saturation knee).  With [ctx.checked] each
+    cell runs under the conformance checkers and reports violations. *)
 
 type tail_cell = {
   tc_impl : Cluster.impl;
@@ -201,8 +145,7 @@ val tail_losses : float list
 (** Default loss grid: 0 (baseline), 0.1%, 1%, 3%. *)
 
 val tail_grid :
-  ?pool:Exec.Pool.t ->
-  ?net:Params.net_profile ->
+  ?ctx:Ctx.t ->
   ?nodes:int ->
   ?config:Load.Clients.config ->
   ?losses:float list ->
@@ -212,22 +155,18 @@ val tail_grid :
   tail_cell list
 (** Loss x load tail grid: one independent {!load_cell} per
     (stack, loss, rate) coordinate, in that canonical nesting order, each
-    under an i.i.d. frame-loss schedule.  A zero-loss column is added if
+    under its own i.i.d. frame-loss schedule in place of
+    [ctx.faults].  A zero-loss column is added if
     [losses] omits it, and every cell's p99/p99.9 is reported as an
     amplification factor over the loss-free cell at the same
     (stack, rate) — the signature of the 200 ms retransmission timeout
     owning the tail.  Deterministic and pool-safe: results are identical
-    with and without [?pool]. *)
+    with and without [ctx.pool]. *)
 
 val pp_tail_cell : Format.formatter -> tail_cell -> unit
 
-val sequencer_senders : int list
-
 val sequencer_saturation :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
+  ?ctx:Ctx.t ->
   ?nodes:int ->
   ?senders:int list ->
   ?clients_per_node:int ->
@@ -252,10 +191,7 @@ val sequencer_policies : Panda.Seq_policy.t list
     capacity mechanism ({!Panda.Seq_policy.sweep}). *)
 
 val sequencer_policy_sweep :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
+  ?ctx:Ctx.t ->
   ?nodes:int ->
   ?senders:int list ->
   ?clients_per_node:int ->
@@ -270,7 +206,7 @@ val sequencer_policy_sweep :
     curves are before/after comparable point by point: [Single] is the
     paper's ~725 msg/s wall, the others are the protocol-family answers
     to it (batching, rotation, sharding, failover standby).  With
-    [?faults] carrying a [seq_crash] instant, each cell also exercises
+    [ctx.faults] carrying a [seq_crash] instant, each cell also exercises
     mid-run sequencer failover. *)
 
 val pp_policy_row :
@@ -315,13 +251,8 @@ type xcell = {
           over both cells (0 for a correct backend, faults or not) *)
 }
 
-val crossover_nets : Params.net_profile list
-(** Default era sweep: net10m, net100m, net1g. *)
-
 val onesided_crossover :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
+  ?ctx:Ctx.t ->
   ?nets:Params.net_profile list ->
   ?stacks:Cluster.stack list ->
   ?read_pcts:int list ->
@@ -332,10 +263,11 @@ val onesided_crossover :
   xcell list
 (** The tentpole experiment: the Zipf get/put DHT over every stack
     (default {!Cluster.all_stacks}) on every network era, one latency
-    probe and one capacity cell each (defaults: 4 nodes, 2 clients per
-    client node, 90% reads).  Cells are returned in
-    (net, read_pct, stack) input order and fan out over [?pool] with
-    bit-identical results. *)
+    probe and one capacity cell each (defaults: net10m, net100m and net1g;
+    4 nodes, 2 clients per client node, 90% reads).  [nets] takes the
+    place of [ctx.net].  Cells are returned in (net, read_pct, stack)
+    input order and fan out over [ctx.pool] with bit-identical
+    results. *)
 
 type crossover_row = {
   xs_net : string;
@@ -361,17 +293,17 @@ val pp_crossover_row : Format.formatter -> crossover_row -> unit
 
 (** {1 In-text breakdowns (§4.2, §4.3)} *)
 
-val rpc_breakdown : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val rpc_breakdown : ?ctx:Ctx.t -> unit -> (string * float) list
 (** Overhead components of the user-kernel null-RPC gap, in µs, found by
     re-measuring under profiles with single mechanisms disabled.  Labels
-    match the paper's accounting. *)
+    match the paper's accounting.  Breakdowns always run fault-free:
+    [ctx.faults] is not used. *)
 
-val group_breakdown : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val group_breakdown : ?ctx:Ctx.t -> unit -> (string * float) list
 
 (** {1 Measured breakdowns (observability ledger)} *)
 
-val measured_breakdown :
-  ?pool:Exec.Pool.t -> unit -> (string * float) list * (string * float) list
+val measured_breakdown : ?ctx:Ctx.t -> unit -> (string * float) list * (string * float) list
 (** [(rpc_rows, group_rows)]: the §4.2/§4.3 accounting re-derived from the
     cost-attribution ledger of recorded null-latency runs (only the
     measured rounds are recorded).  RPC rows are user-kernel deltas in µs
@@ -404,11 +336,7 @@ type opt_breakdown = {
   ob_residual_us : float;  (** deltas owned by no mechanism — 0 by construction *)
 }
 
-val mechanism_of_cause : Obs.Cause.t -> string option
-(** Which of the four optimizations owns savings under this cause; [None]
-    for causes no mechanism may touch ([Fault_wire], [Idle]). *)
-
-val optimized_breakdown : ?pool:Exec.Pool.t -> unit -> opt_breakdown * opt_breakdown
+val optimized_breakdown : ?ctx:Ctx.t -> unit -> opt_breakdown * opt_breakdown
 (** [(rpc, group)]: ledger-cell-exact accounting of where the optimized
     stack's savings come from, from recorded baseline-user and
     optimized-user null runs.  Because the four mechanisms are disjoint in
@@ -420,26 +348,24 @@ val pp_opt_breakdown : Format.formatter -> opt_breakdown -> unit
 (** {1 Ablations} *)
 
 val ablation_dedicated_sequencer :
-  ?pool:Exec.Pool.t -> ?procs:int list -> unit -> Runner.outcome list
+  ?ctx:Ctx.t -> ?procs:int list -> unit -> Runner.outcome list
 (** LEQ under user-space protocols with and without a dedicated
     sequencer. *)
 
-val ablation_nonblocking : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val ablation_nonblocking : ?ctx:Ctx.t -> unit -> (string * float) list
 (** Group latency perceived by the sender: blocking vs the §6 nonblocking
     broadcast, microbenchmark. *)
 
-val ablation_migration : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val ablation_migration : ?ctx:Ctx.t -> unit -> (string * float) list
 (** Adaptive object placement (the paper's §2 runtime heuristic) vs static
     placement, for a heavily skewed access pattern. *)
 
-val ablation_user_level_network :
-  ?pool:Exec.Pool.t -> unit -> (string * float) list
+val ablation_user_level_network : ?ctx:Ctx.t -> unit -> (string * float) list
 (** The paper's §6 projection: give the user-space stack direct network
     access (no per-packet system calls, no untuned FLIP interface) and
     compare its null latencies against today's stacks. *)
 
-val ablation_continuations :
-  ?pool:Exec.Pool.t -> ?procs:int -> unit -> (string * float) list
+val ablation_continuations : ?ctx:Ctx.t -> ?procs:int -> unit -> (string * float) list
 (** RL with guarded operations: kernel (blocked server thread) vs user
     (continuations), runtimes in seconds. *)
 
@@ -475,10 +401,7 @@ val cluster_default_config : Load.Clients.config
     256-node cell stays tractable on one core. *)
 
 val cluster_cell :
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
-  ?lanes:bool ->
+  ?ctx:Ctx.t ->
   ?shards:int ->
   ?replicas:int ->
   ?service_params:Shard.Service.params ->
@@ -494,21 +417,15 @@ val cluster_cell :
     replicas 1), the last non-server rank reserved for the rebalancing
     controller (whether or not [rebalance] is given, so A/B populations
     match), every other rank a client.  One-sided runs force replicas
-    to 1 and never migrate.  With [checked], the conformance checkers
+    to 1 and never migrate.  With [ctx.checked], the conformance checkers
     wrap the stack and the service's at-rest audit joins the checker's
     finalize pass. *)
 
 val cluster_nodes : int list
 val cluster_skews : Load.Keys.skew list
-val cluster_stacks : Cluster.stack list
-val cluster_rates : float list
 
 val cluster_sweep :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
-  ?lanes:bool ->
+  ?ctx:Ctx.t ->
   ?shards:int ->
   ?replicas:int ->
   ?service_params:Shard.Service.params ->
@@ -523,7 +440,9 @@ val cluster_sweep :
 (** The tentpole sweep: every (nodes, stack, skew) combination ramped
     over open-loop offered [rates] to its saturation knee.  Combinations
     are returned in (nodes, stack, skew) input order, their rate points
-    ascending; cells fan out over [?pool] bit-identically. *)
+    ascending; cells fan out over [ctx.pool] bit-identically.  Defaults:
+    64 and 256 nodes, every stack of {!Cluster.all_stacks}, uniform and
+    Zipf(0.99) keys, 2000, 4000 and 8000 op/s. *)
 
 val cluster_ab_config : Load.Clients.config
 (** Closed-loop, 100 ms warmup, 1.5 s window — long enough that the
@@ -534,11 +453,7 @@ val cluster_ab_rebalance : Shard.Rebalancer.config
     early in the window. *)
 
 val cluster_migration_ab :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
-  ?lanes:bool ->
+  ?ctx:Ctx.t ->
   ?shards:int ->
   ?replicas:int ->
   ?service_params:Shard.Service.params ->

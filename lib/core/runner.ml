@@ -68,7 +68,7 @@ type outcome = {
   o_violations : string list;
 }
 
-let run ?faults ?(checked = false) ?net ?lanes
+let run ?faults ?(checked = false) ?net ?(lanes = false)
     ?(sequencer = Panda.Seq_policy.Single) ~impl ~procs app =
   (* The dedicated-sequencer variant sacrifices one of the P processors to
      the sequencer: P-1 Orca workers (the paper's 15 workers at P=16). *)
@@ -78,7 +78,7 @@ let run ?faults ?(checked = false) ?net ?lanes
   let cluster =
     Cluster.create
       ~extra_machine:(impl = Cluster.User_dedicated)
-      ?net ?lanes ~n:workers ()
+      ?net ~lanes ~n:workers ()
   in
   let fstats =
     match faults with
@@ -156,17 +156,18 @@ let run ?faults ?(checked = false) ?net ?lanes
 
 let prepare app = ignore (Lazy.force app.app_reference)
 
-let run_cell ?faults ?checked ?net ?lanes ?sequencer (impl, procs, app) =
-  run ?faults ?checked ?net ?lanes ?sequencer ~impl ~procs app
-
-let run_many ?pool ?faults ?checked ?net ?lanes ?sequencer cells =
-  match pool with
-  | None -> List.map (run_cell ?faults ?checked ?net ?lanes ?sequencer) cells
+let run_many ?(ctx = Ctx.default) ?sequencer cells =
+  let cell (impl, procs, app) =
+    run ?faults:ctx.Ctx.faults ~checked:ctx.Ctx.checked ~net:ctx.Ctx.net
+      ~lanes:ctx.Ctx.lanes ?sequencer ~impl ~procs app
+  in
+  match ctx.Ctx.pool with
+  | None -> List.map cell cells
   | Some p ->
     (* Force every sequential reference before fanning out: [Lazy.force]
        from two domains at once is a race. *)
     List.iter (fun (_, _, app) -> prepare app) cells;
-    Exec.Pool.map_list p (run_cell ?faults ?checked ?net ?lanes ?sequencer) cells
+    Exec.Pool.map_list p cell cells
 
 let pp_stats fmt s =
   Format.fprintf fmt

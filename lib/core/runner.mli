@@ -56,7 +56,7 @@ val run :
     the {!Faults.Invariants} conformance checkers — sized to the policy's
     shard count — and reports violations in [o_violations]; [?net]
     (default {!Params.net10m}) picks the network era the cluster is built
-    on; [?lanes] (default {!Cluster.default_lanes}) shards multi-segment
+    on; [?lanes] (default [false]) shards multi-segment
     clusters into conservative engine lanes, with each rank's worker fiber
     spawned in its machine's lane; [?sequencer] (default [Single]) selects
     the sequencer capacity policy the group stack runs. *)
@@ -68,22 +68,14 @@ val prepare : app -> unit
     itself. *)
 
 val run_many :
-  ?pool:Exec.Pool.t ->
-  ?faults:Faults.Spec.t ->
-  ?checked:bool ->
-  ?net:Params.net_profile ->
-  ?lanes:bool ->
-  ?sequencer:Panda.Seq_policy.t ->
-  (Cluster.impl * int * app) list ->
-  outcome list
-(** Runs each (impl, procs, app) cell as an independent simulation ([?faults]
-    and [?checked] apply to every cell; each cell derives its own injector
-    streams, so fan-out stays deterministic) and
-    returns outcomes in input order.  Without [?pool] the cells run
-    sequentially in order — exactly [List.map] over {!run}.  With a pool
-    the cells run concurrently on its domains; since every simulation is
-    deterministic and confined to one domain, the result list is
-    identical either way. *)
+  ?ctx:Ctx.t -> ?sequencer:Panda.Seq_policy.t -> (Cluster.impl * int * app) list -> outcome list
+(** Runs each (impl, procs, app) cell as an independent simulation under
+    [ctx] (default {!Ctx.default}; each cell derives its own injector
+    streams, so fan-out stays deterministic) and returns outcomes in input
+    order.  Without a pool the cells run sequentially in order — exactly
+    [List.map] over {!run}.  With [ctx.pool] the cells run concurrently on
+    its domains; since every simulation is deterministic and confined to
+    one domain, the result list is identical either way. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

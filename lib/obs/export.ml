@@ -133,3 +133,53 @@ let to_file path contents =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
+
+type json =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Num of int * float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+let compound = function Arr (_ :: _) | Obj (_ :: _) -> true | _ -> false
+
+(* Containers whose members are all scalars print on one line; any other
+   container puts each member on its own line, indented two spaces. *)
+let rec json_buf buf indent = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Num (digits, x) -> Buffer.add_string buf (Printf.sprintf "%.*f" digits x)
+  | Str s ->
+    Buffer.add_char buf '"';
+    json_escape buf s;
+    Buffer.add_char buf '"'
+  | Arr items -> json_seq buf indent '[' ']' (List.map (fun j -> (None, j)) items)
+  | Obj fields -> json_seq buf indent '{' '}' (List.map (fun (k, j) -> (Some k, j)) fields)
+
+and json_seq buf indent op cl members =
+  let nested = List.exists (fun (_, j) -> compound j) members in
+  let inner = indent ^ "  " in
+  Buffer.add_char buf op;
+  List.iteri
+    (fun i (key, j) ->
+      if i > 0 then Buffer.add_char buf ',';
+      if nested then (Buffer.add_char buf '\n'; Buffer.add_string buf inner)
+      else if i > 0 then Buffer.add_char buf ' ';
+      Option.iter
+        (fun k ->
+          json_buf buf inner (Str k);
+          Buffer.add_string buf ": ")
+        key;
+      json_buf buf inner j)
+    members;
+  if nested then (Buffer.add_char buf '\n'; Buffer.add_string buf indent);
+  Buffer.add_char buf cl
+
+let json_to_string j =
+  let buf = Buffer.create 4096 in
+  json_buf buf "" j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf

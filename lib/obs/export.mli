@@ -12,3 +12,17 @@ val csv : Recorder.t -> string
 
 val to_file : string -> string -> unit
 (** [to_file path contents] writes [contents] to [path]. *)
+
+(** A JSON value for the benchmark report; every string goes through the
+    same escaper as the trace exporter. *)
+type json =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Num of int * float  (** [Num (d, x)]: [x] printed with [d] decimals *)
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+val json_to_string : json -> string
+(** Indented JSON text with a trailing newline. *)

@@ -145,9 +145,8 @@ let fit ?(name = "fitted") ?label m =
 
 let verify ~reference fitted =
   let lat net =
-    Core.Experiments.rpc_latency
-      ~profile:(Core.Experiments.with_net net Core.Experiments.default_profile)
-      ~impl:`User ~size:0 ()
+    Core.Experiments.rpc_latency ~ctx:{ Core.Ctx.default with net } ~impl:`User
+      ~size:0 ()
   in
   (lat reference, lat fitted)
 

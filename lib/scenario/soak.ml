@@ -13,6 +13,7 @@ type config = {
   sk_windows : int;
   sk_faults : Faults.Spec.t option;
   sk_net : Core.Params.net_profile option;
+  sk_lanes : bool;
   sk_seed : int;
 }
 
@@ -32,6 +33,7 @@ let default =
     sk_windows = 8;
     sk_faults = None;
     sk_net = None;
+    sk_lanes = false;
     sk_seed = 1;
   }
 
@@ -70,7 +72,7 @@ let run cfg =
   let cluster =
     Core.Cluster.create
       ~extra_machine:(cfg.sk_impl = Core.Cluster.User_dedicated)
-      ?net:cfg.sk_net ~n:cfg.sk_nodes ()
+      ?net:cfg.sk_net ~lanes:cfg.sk_lanes ~n:cfg.sk_nodes ()
   in
   let eng = cluster.Core.Cluster.eng in
   let machines = cluster.Core.Cluster.machines in

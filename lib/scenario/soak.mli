@@ -29,12 +29,13 @@ type config = {
   sk_windows : int;  (** number of consecutive windows *)
   sk_faults : Faults.Spec.t option;
   sk_net : Core.Params.net_profile option;
+  sk_lanes : bool;  (** laned engine on a multi-segment cluster *)
   sk_seed : int;
 }
 
 val default : config
 (** User stack, 4 nodes, null RPCs: peak 400 ops/s over a 2 s diurnal
-    period (floor 0.25), 8 windows of 250 ms, no faults, seed 1. *)
+    period (floor 0.25), 8 windows of 250 ms, no faults, no lanes, seed 1. *)
 
 type window = {
   w_index : int;

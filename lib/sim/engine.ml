@@ -345,6 +345,12 @@ let events_executed t = executed t
 
 (* ---- lane configuration and introspection ---- *)
 
+(* Process-wide count of engines sharded into lanes: lets a caller see
+   that a run context's lane setting reached every engine it built. *)
+let laned_total = Atomic.make 0
+
+let laned_engines () = Atomic.get laned_total
+
 let configure_lanes t ~n ~lookahead =
   if n < 1 || n > max_lanes then invalid_arg "Sim.Engine.configure_lanes: n";
   if n > 1 && lookahead <= 0 then
@@ -353,7 +359,8 @@ let configure_lanes t ~n ~lookahead =
     invalid_arg "Sim.Engine.configure_lanes: already configured";
   if n > 1 then begin
     t.lanes <- Array.init n (fun i -> if i = 0 then t.lanes.(0) else make_lane i);
-    t.lookahead <- lookahead
+    t.lookahead <- lookahead;
+    Atomic.incr laned_total
   end
 
 let n_lanes t = Array.length t.lanes

@@ -100,6 +100,10 @@ val configure_lanes : t -> n:int -> lookahead:Time.span -> unit
     build time.  [n = 1] is a no-op.  Events already scheduled stay in
     lane 0.  @raise Invalid_argument if already configured. *)
 
+val laned_engines : unit -> int
+(** Process-wide count of engines configured with more than one lane, on
+    all domains. *)
+
 val n_lanes : t -> int
 val lookahead : t -> Time.span
 

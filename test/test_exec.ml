@@ -66,7 +66,7 @@ let outcome_strings outcomes =
   List.map (Format.asprintf "%a" Core.Runner.pp_outcome) outcomes
 
 let table3_subset ?pool () =
-  Core.Experiments.table3 ?pool ~app_names:[ "sor" ] ~procs:[ 1; 4 ] ()
+  Core.Experiments.table3 ~ctx:{ Core.Ctx.default with pool } ~app_names:[ "sor" ] ~procs:[ 1; 4 ] ()
 
 let test_table3_j1_vs_j2 () =
   let seq = table3_subset () in
@@ -84,7 +84,7 @@ let test_parallel_run_repeatable () =
 let test_table1_point_j1_vs_j2 () =
   let seq = Core.Experiments.table1 ~sizes:[ 0 ] () in
   let par =
-    Exec.Pool.with_pool ~jobs:2 (fun p -> Core.Experiments.table1 ~pool:p ~sizes:[ 0 ] ())
+    Exec.Pool.with_pool ~jobs:2 (fun p -> Core.Experiments.table1 ~ctx:{ Core.Ctx.default with pool = Some p } ~sizes:[ 0 ] ())
   in
   check_bool "latency rows bit-identical" true (seq = par)
 

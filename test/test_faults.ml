@@ -398,10 +398,11 @@ let test_runner_jobs_deterministic () =
   let cells =
     [ (Core.Cluster.Kernel, 8, tsp); (Core.Cluster.User, 8, tsp) ]
   in
-  let seq = Core.Runner.run_many ~faults ~checked:true cells in
+  let ctx = { Core.Ctx.default with faults = Some faults; checked = true } in
+  let seq = Core.Runner.run_many ~ctx cells in
   let par =
     Exec.Pool.with_pool ~jobs:2 (fun p ->
-        Core.Runner.run_many ~pool:p ~faults ~checked:true cells)
+        Core.Runner.run_many ~ctx:{ ctx with pool = Some p } cells)
   in
   check_bool "-j 1 = -j 2 under faults" true
     (List.map outcome_key seq = List.map outcome_key par);

@@ -87,7 +87,8 @@ let test_table2_golden () = check_table2 (Lazy.force table2)
 let test_golden_parallel () =
   let t1, t2 =
     Exec.Pool.with_pool ~jobs:2 (fun p ->
-        (Core.Experiments.table1 ~pool:p (), Core.Experiments.table2 ~pool:p ()))
+        let ctx = { Core.Ctx.default with pool = Some p } in
+        (Core.Experiments.table1 ~ctx (), Core.Experiments.table2 ~ctx ()))
   in
   check_table1 t1;
   check_table2 t2;

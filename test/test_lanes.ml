@@ -168,10 +168,11 @@ let test_laned_fanout_identical () =
       (Core.Cluster.User, 12, tsp);
     ]
   in
-  let seq = Core.Runner.run_many ~lanes:true cells in
+  let ctx = { Core.Ctx.default with lanes = true } in
+  let seq = Core.Runner.run_many ~ctx cells in
   let par =
     Exec.Pool.with_pool ~jobs:2 (fun p ->
-        Core.Runner.run_many ~pool:p ~lanes:true cells)
+        Core.Runner.run_many ~ctx:{ ctx with pool = Some p } cells)
   in
   check_bool "-j1 = -j2 under lanes" true (seq = par);
   List.iter
@@ -209,6 +210,67 @@ let test_cluster_512_lane_assignment () =
     (fun s rank -> check_int "server leads its segment" (s * 8) rank)
     servers
 
+(* ------------------------------------------------------------------ *)
+(* The run context's lane setting must reach every cluster a driver
+   builds.  Each call below builds clusters of 16 machines (two
+   segments), so a laned context must shard every one of their engines
+   and an unlaned one none. *)
+
+let short = { Load.Clients.default with warmup = Sim.Time.ms 20; window = Sim.Time.ms 50 }
+
+let drivers =
+  [
+    ( "run_many",
+      1,
+      fun ctx ->
+        ignore (Core.Runner.run_many ~ctx [ (Core.Cluster.User, 12, Core.Runner.app_named "ab") ])
+    );
+    ( "load_cell",
+      1,
+      fun ctx ->
+        ignore (Core.Experiments.load_cell ~ctx ~nodes:16 ~impl:Core.Cluster.User short ()) );
+    ( "cluster_cell",
+      1,
+      fun ctx ->
+        ignore
+          (Core.Experiments.cluster_cell ~ctx ~shards:4 ~nodes:16
+             ~stack:(Core.Cluster.Rpc_stack Core.Cluster.User) ~skew:Load.Keys.Uniform
+             { short with Load.Clients.clients_per_node = 1 }
+             ()) );
+    ( "onesided_crossover",
+      2,
+      fun ctx ->
+        ignore
+          (Core.Experiments.onesided_crossover ~ctx ~nets:[ Core.Params.net10m ]
+             ~stacks:[ Core.Cluster.One_sided ] ~nodes:16 ~config:short ()) );
+    ( "soak",
+      1,
+      fun ctx ->
+        ignore
+          (Front.Registry.soak.run ctx
+             {
+               Scenario.Soak.default with
+               sk_nodes = 16;
+               sk_windows = 1;
+               sk_warmup = Sim.Time.ms 20;
+               sk_window = Sim.Time.ms 50;
+             }) );
+  ]
+
+let test_ctx_lanes_reach_clusters () =
+  List.iter
+    (fun (name, clusters, run) ->
+      List.iter
+        (fun lanes ->
+          let before = Sim.Engine.laned_engines () in
+          run { Core.Ctx.default with lanes };
+          check_int
+            (Printf.sprintf "%s, lanes=%b: laned engines built" name lanes)
+            (if lanes then clusters else 0)
+            (Sim.Engine.laned_engines () - before))
+        [ true; false ])
+    drivers
+
 let () =
   Alcotest.run "lanes"
     [
@@ -238,5 +300,7 @@ let () =
             test_single_segment_collapse;
           Alcotest.test_case "laned -j fan-out identical" `Quick
             test_laned_fanout_identical;
+          Alcotest.test_case "run context lanes reach every cluster" `Quick
+            test_ctx_lanes_reach_clusters;
         ] );
     ]

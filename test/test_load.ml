@@ -241,7 +241,7 @@ let quick_config =
   }
 
 let quick_sweep ?pool () =
-  Core.Experiments.load_sweep ?pool ~nodes:4 ~config:quick_config
+  Core.Experiments.load_sweep ~ctx:{ Core.Ctx.default with pool } ~nodes:4 ~config:quick_config
     ~rates:[ 400.; 1600. ]
     ~impls:[ Core.Cluster.Kernel; Core.Cluster.User ]
     ()
@@ -362,9 +362,14 @@ let test_sequencer_saturation () =
 
 let test_checked_low_loss () =
   let sweep =
-    Core.Experiments.load_sweep ~nodes:4
-      ~faults:(Faults.Spec.loss ~seed:7 0.001)
-      ~checked:true ~config:quick_config ~rates:[ 400. ]
+    Core.Experiments.load_sweep
+      ~ctx:
+        {
+          Core.Ctx.default with
+          faults = Some (Faults.Spec.loss ~seed:7 0.001);
+          checked = true;
+        }
+      ~nodes:4 ~config:quick_config ~rates:[ 400. ]
       ~impls:[ Core.Cluster.User ]
       ()
   in

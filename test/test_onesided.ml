@@ -387,7 +387,9 @@ let test_crossover_pool_identical () =
   let seq = Lazy.force crossover in
   let pooled =
     Exec.Pool.with_pool ~jobs:2 (fun p ->
-        Core.Experiments.onesided_crossover ~pool:p ~nets:golden_nets
+        Core.Experiments.onesided_crossover
+          ~ctx:{ Core.Ctx.default with pool = Some p }
+          ~nets:golden_nets
           ~read_pcts:[ 90 ] ~nodes:4 ~config:golden_config ())
   in
   check_bool "-j 2 bit-identical" true (compare seq pooled = 0)

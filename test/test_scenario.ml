@@ -150,7 +150,7 @@ let test_replay_scale () =
 (* --- tail grid --- *)
 
 let quick_grid ?pool () =
-  Core.Experiments.tail_grid ?pool ~nodes:4
+  Core.Experiments.tail_grid ~ctx:{ Core.Ctx.default with pool } ~nodes:4
     ~config:{ Load.Clients.default with Load.Clients.window = Sim.Time.ms 500 }
     ~losses:[ 0.01 ] ~rates:[ 200. ] ~impls:[ Core.Cluster.User ] ()
 
@@ -232,6 +232,30 @@ let test_profile_file_roundtrip () =
       | Ok p -> check_bool "file round-trip" true (p = Core.Params.net1g)
       | Error e -> Alcotest.fail e)
 
+(* A saved profile file must drive [--profile] through the run-context
+   term both front ends share, exactly like the built-in era. *)
+let test_profile_file_flag () =
+  let path = Filename.temp_file "fitted" ".profile" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Core.Params.net_profile_save path Core.Params.net1g;
+      let net_of argv =
+        let cmd =
+          Cmdliner.Cmd.v (Cmdliner.Cmd.info "t")
+            Cmdliner.Term.(
+              const (fun (r : Front.Args.runner) -> r.with_ctx (fun ctx -> ctx.Core.Ctx.net))
+              $ Front.Args.ctx_term)
+        in
+        match Cmdliner.Cmd.eval_value ~argv cmd with
+        | Ok (`Ok net) -> net
+        | _ -> Alcotest.fail "profile flag rejected"
+      in
+      check_bool "file parses to the saved era" true
+        (net_of [| "t"; "--profile"; path; "-j"; "1" |] = Core.Params.net1g);
+      check_bool "era names still parse" true
+        (net_of [| "t"; "--profile"; "net100m"; "-j"; "1" |] = Core.Params.net100m))
+
 (* --- soak --- *)
 
 let soak_cfg =
@@ -292,6 +316,7 @@ let () =
           Alcotest.test_case "net10m golden" `Quick test_calibrate_golden_net10m;
           Alcotest.test_case "all eras" `Quick test_calibrate_all_eras;
           Alcotest.test_case "profile files" `Quick test_profile_file_roundtrip;
+          Alcotest.test_case "profile file through --profile" `Quick test_profile_file_flag;
         ] );
       ( "soak",
         [

@@ -196,7 +196,9 @@ let quick_config =
   }
 
 let run_matrix ?faults () =
-  Core.Experiments.sequencer_policy_sweep ?faults ~checked:true ~senders:[ 2 ]
+  Core.Experiments.sequencer_policy_sweep
+    ~ctx:{ Core.Ctx.default with faults; checked = true }
+    ~senders:[ 2 ]
     ~config:quick_config ~policies:matrix_policies ()
 
 let assert_clean tag rows =
@@ -234,7 +236,8 @@ let test_sweep_bit_identical_parallel () =
      over a 2-domain pool — Metrics.t is all floats/ints/arrays, so
      structural equality is exact equality. *)
   let run ?pool () =
-    Core.Experiments.sequencer_policy_sweep ?pool ~senders:[ 1; 2 ]
+    Core.Experiments.sequencer_policy_sweep ~ctx:{ Core.Ctx.default with pool }
+      ~senders:[ 1; 2 ]
       ~config:quick_config ()
   in
   let seq = run () in

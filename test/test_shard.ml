@@ -195,7 +195,8 @@ let golden_grid pool =
       (fun stack ->
         List.map
           (fun skew () ->
-            Core.Experiments.cluster_cell ~lanes:true ~nodes:64 ~stack ~skew
+            Core.Experiments.cluster_cell ~ctx:{ Core.Ctx.default with lanes = true }
+              ~nodes:64 ~stack ~skew
               cfg ())
           [ Load.Keys.Uniform; Load.Keys.Zipf 0.99 ])
       [
@@ -272,7 +273,9 @@ let test_faults_under_migration () =
     }
   in
   let c =
-    Core.Experiments.cluster_cell ~faults ~checked:true ~shards:8 ~replicas:2
+    Core.Experiments.cluster_cell
+      ~ctx:{ Core.Ctx.default with faults = Some faults; checked = true }
+      ~shards:8 ~replicas:2
       ~nodes:16 ~stack:(Core.Cluster.Rpc_stack Core.Cluster.User)
       ~skew:(Load.Keys.Zipf 1.2) ~rebalance cfg ()
   in
