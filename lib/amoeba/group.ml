@@ -672,8 +672,8 @@ let send m ~size payload =
                  sw.sw_tries <- sw.sw_tries + 1;
                  t.n_retrans <- t.n_retrans + 1;
                  let cost = Flip.Flip_iface.send_cost m.m_flip ~size:msg_size in
-                 Mach.interrupt (m_mach m) ~layer:Obs.Layer.Amoeba_grp
-                   ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, cost) ]
+                 Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc cost;
+                 Mach.interrupt (m_mach m) ~layer:Obs.Layer.Amoeba_grp ~itemized:cost
                    ~name:"grp.resend" ~cost transmit;
                  arm ()
                end))
@@ -683,11 +683,10 @@ let send m ~size payload =
   arm ();
   let copy = size * t.cfg.copy_byte in
   let out = Flip.Flip_iface.send_cost m.m_flip ~size:msg_size in
+  Obs.Recorder.charge ~layer:Obs.Layer.Amoeba_grp ~cause:Obs.Cause.Copy copy;
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc out;
   Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:(copy + out)
-    ~charges:
-      [ (Obs.Layer.Amoeba_grp, Obs.Cause.Copy, copy);
-        (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-    ();
+    ~itemized:(copy + out) ();
   if not sw.sw_done then Thread.suspend (fun _ resume -> sw.sw_resume <- Some resume);
   Thread.ret_frames ~layer:Obs.Layer.Amoeba_grp t.cfg.call_depth;
   if sw.sw_failed then raise (Group_failure "broadcast not ordered after retries")
@@ -697,9 +696,10 @@ let rec receive_loop m =
   Thread.syscall ~layer:Obs.Layer.Amoeba_grp ();
   match Queue.take_opt m.deliver_q with
   | Some (sender, size, user) ->
-    Thread.compute_parts ~layer:Obs.Layer.Amoeba_grp
-      [ (Obs.Cause.Proto_proc, t.cfg.deliver_fixed);
-        (Obs.Cause.Copy, size * t.cfg.copy_byte) ];
+    let copy = size * t.cfg.copy_byte in
+    Obs.Recorder.charge ~layer:Obs.Layer.Amoeba_grp ~cause:Obs.Cause.Copy copy;
+    Thread.compute ~layer:Obs.Layer.Amoeba_grp ~itemized:copy
+      (t.cfg.deliver_fixed + copy);
     (sender, size, user)
   | None ->
     Thread.suspend (fun _ resume -> Queue.push resume m.recv_waiters);
@@ -832,9 +832,8 @@ let join t flip =
              end))
   in
   let out = Flip.Flip_iface.send_cost m.m_flip ~size:t.cfg.accept_bytes in
-  Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out
-    ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-    ();
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc out;
+  Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out ~itemized:out ();
   send_join ();
   arm 0;
   Thread.suspend (fun _ resume -> m.join_waiter <- Some resume);
@@ -862,9 +861,8 @@ let leave m =
                end))
     in
     let out = Flip.Flip_iface.send_cost m.m_flip ~size:t.cfg.accept_bytes in
-    Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out
-      ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-      ();
+    Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc out;
+    Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out ~itemized:out ();
     send_leave ();
     arm 0;
     Thread.suspend (fun _ resume -> m.leave_waiter <- Some resume);

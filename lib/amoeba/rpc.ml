@@ -123,14 +123,16 @@ let rec arm_timer t p =
              else begin
                p.p_tries <- p.p_tries + 1;
                t.n_retrans <- t.n_retrans + 1;
-               Obs.Log.log (eng t) "amoeba.rpc" "retransmit to %a (try %d)"
-                 Flip.Address.pp p.p_dst p.p_tries;
+               if Obs.Log.enabled () then
+                 Obs.Log.log (eng t) "amoeba.rpc" "retransmit to %a (try %d)"
+                   Flip.Address.pp p.p_dst p.p_tries;
                (* The retransmission runs in kernel timer context. *)
                let cost =
                  Flip.Flip_iface.send_cost t.flip ~size:(wire_size t p.p_size)
                in
-               Mach.interrupt (mach t) ~layer:Obs.Layer.Amoeba_rpc
-                 ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, cost) ]
+               Obs.Recorder.charge ~layer:Obs.Layer.Flip
+                 ~cause:Obs.Cause.Proto_proc cost;
+               Mach.interrupt (mach t) ~layer:Obs.Layer.Amoeba_rpc ~itemized:cost
                  ~name:"rpc.retrans" ~cost
                  (fun () -> send_request t p);
                arm_timer t p
@@ -206,11 +208,10 @@ let trans t ~dst ~size payload =
   arm_timer t p;
   let copy = size * t.cfg.copy_byte in
   let out = Flip.Flip_iface.send_cost t.flip ~size:(wire_size t size) in
+  Obs.Recorder.charge ~layer:Obs.Layer.Amoeba_rpc ~cause:Obs.Cause.Copy copy;
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc out;
   Thread.syscall ~layer:Obs.Layer.Amoeba_rpc ~kernel_work:(copy + out)
-    ~charges:
-      [ (Obs.Layer.Amoeba_rpc, Obs.Cause.Copy, copy);
-        (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-    ();
+    ~itemized:(copy + out) ();
   (* The reply may already have arrived while the send syscall ran. *)
   if p.p_reply = None && not p.p_failed then
     Thread.suspend (fun _ resume -> p.p_resume <- Some resume);
@@ -219,9 +220,10 @@ let trans t ~dst ~size payload =
   | Some (rsize, ruser) ->
     (* Copy the reply up to user space and return down the (shallow)
        protocol stack. *)
-    Thread.compute_parts ~layer:Obs.Layer.Amoeba_rpc
-      [ (Obs.Cause.Proto_proc, t.cfg.deliver_fixed);
-        (Obs.Cause.Copy, rsize * t.cfg.copy_byte) ];
+    let copy = rsize * t.cfg.copy_byte in
+    Obs.Recorder.charge ~layer:Obs.Layer.Amoeba_rpc ~cause:Obs.Cause.Copy copy;
+    Thread.compute ~layer:Obs.Layer.Amoeba_rpc ~itemized:copy
+      (t.cfg.deliver_fixed + copy);
     Thread.ret_frames ~layer:Obs.Layer.Amoeba_rpc t.cfg.call_depth;
     (rsize, ruser)
   | None ->
@@ -302,9 +304,10 @@ let rec get_request_loop port =
   match Queue.take_opt port.queue with
   | Some r ->
     r.r_thread <- Some thread;
-    Thread.compute_parts ~layer:Obs.Layer.Amoeba_rpc
-      [ (Obs.Cause.Proto_proc, t.cfg.deliver_fixed);
-        (Obs.Cause.Copy, r.r_size * t.cfg.copy_byte) ];
+    let copy = r.r_size * t.cfg.copy_byte in
+    Obs.Recorder.charge ~layer:Obs.Layer.Amoeba_rpc ~cause:Obs.Cause.Copy copy;
+    Thread.compute ~layer:Obs.Layer.Amoeba_rpc ~itemized:copy
+      (t.cfg.deliver_fixed + copy);
     r
   | None ->
     Thread.suspend (fun _ resume -> Queue.push resume port.waiters);
@@ -332,8 +335,7 @@ let put_reply port r ~size payload =
     ~msg_id;
   let copy = size * t.cfg.copy_byte in
   let out = Flip.Flip_iface.send_cost t.flip ~size:(wire_size t size) in
+  Obs.Recorder.charge ~layer:Obs.Layer.Amoeba_rpc ~cause:Obs.Cause.Copy copy;
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc out;
   Thread.syscall ~layer:Obs.Layer.Amoeba_rpc ~kernel_work:(copy + out)
-    ~charges:
-      [ (Obs.Layer.Amoeba_rpc, Obs.Cause.Copy, copy);
-        (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-    ()
+    ~itemized:(copy + out) ()

@@ -26,7 +26,8 @@ let create_stats ~log =
   }
 
 let note stats eng ~where ~kind (frame : Net.Frame.t) =
-  Obs.Recorder.count (Printf.sprintf "faults.%s" kind) 1;
+  if Obs.Recorder.recording () then
+    Obs.Recorder.count (Printf.sprintf "faults.%s" kind) 1;
   if stats.logging then
     stats.log_rev <-
       Printf.sprintf "t=%d %s %s src=%d bytes=%d" (Sim.Engine.now eng) where kind

@@ -84,14 +84,14 @@ let rec locate t dst =
     if p.attempts >= t.cfg.locate_retries then begin
       (* Undeliverable: FLIP is unreliable, so drop silently (upper layers
          retransmit and re-locate). *)
-      Hashtbl.remove t.pendings dst;
-      Sim.Stats.incr (Machine.Mach.stats t.mach) "flip.locate_failed"
+      Hashtbl.remove t.pendings dst
     end
     else begin
       p.attempts <- p.attempts + 1;
       t.locates <- t.locates + 1;
-      Obs.Log.log (eng t) "flip" "locate %a (attempt %d)" Address.pp dst
-        p.attempts;
+      if Obs.Log.enabled () then
+        Obs.Log.log (eng t) "flip" "locate %a (attempt %d)" Address.pp dst
+          p.attempts;
       send_control t ~dest:Net.Frame.Broadcast (Locate_req dst);
       p.timer <- Some (Sim.Engine.after (eng t) t.cfg.locate_timeout (fun () -> locate t dst))
     end

@@ -31,19 +31,26 @@ val interrupt_key : int
     interrupt is not charged as a full switch. *)
 
 val submit :
-  ?needs_switch:bool ->
-  ?label:string ->
-  ?layer:Obs.Layer.t ->
-  t -> key:int -> prio:int -> cost:Sim.Time.span -> (unit -> unit) -> unit
-(** [submit t ~key ~prio ~cost k] queues [cost] worth of CPU work for
-    context [key]; [k] runs when the work completes.  [prio] 0 is reserved
-    for interrupts.  [needs_switch] (default [true]) says the context comes
-    off a blocking wait, so a scheduler invocation is due even if this
-    context is still the one loaded (the warm-switch case); pass [false]
-    for back-to-back work by a thread that never blocked.
+  t ->
+  key:int ->
+  prio:int ->
+  needs_switch:bool ->
+  label:string ->
+  layer:Obs.Layer.t ->
+  cost:Sim.Time.span ->
+  (unit -> unit) ->
+  unit
+(** [submit t ~key ~prio ~needs_switch ~label ~layer ~cost k] queues [cost]
+    worth of CPU work for context [key]; [k] runs when the work completes.
+    [prio] 0 is reserved for interrupts.  [needs_switch] says the context
+    comes off a blocking wait, so a scheduler invocation is due even if
+    this context is still the one loaded (the warm-switch case); pass
+    [false] for back-to-back work by a thread that never blocked.
 
-    [label]/[layer] name the job's span on the CPU track and attribute any
-    context-switch cost it incurs; they do not affect timing. *)
+    [label]/[layer] name the job's span on the CPU track (["irq:<label>"]
+    for [interrupt_key] jobs) and attribute any context-switch cost it
+    incurs; they do not affect timing.  A job that starts at once — on an
+    idle CPU with nothing queued, or by preemption — allocates nothing. *)
 
 val busy : t -> bool
 

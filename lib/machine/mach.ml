@@ -15,7 +15,6 @@ type t = {
   eng : Sim.Engine.t;
   cpu : Cpu.t;
   config : config;
-  stats : Sim.Stats.t;
 }
 
 let create eng ~id ~name config =
@@ -26,36 +25,22 @@ let create eng ~id ~name config =
       cold_preempt = config.ctx_cold_preempt;
     }
   in
-  { mid = id; mname = name; eng; cpu = Cpu.create ~name eng costs; config;
-    stats = Sim.Stats.create () }
+  { mid = id; mname = name; eng; cpu = Cpu.create ~name eng costs; config }
 
 let id t = t.mid
 let name t = t.mname
 let engine t = t.eng
 let cpu t = t.cpu
 let config t = t.config
-let stats t = t.stats
 
-let interrupt ?(layer = Obs.Layer.App) ?charges t ~name ~cost handler =
-  Sim.Stats.incr t.stats ("interrupt." ^ name);
+let interrupt ?(layer = Obs.Layer.App) ?(itemized = 0) t ~name ~cost handler =
   (* Interrupt entry is a kernel-boundary crossing; the body defaults to
      protocol processing unless the caller itemises it. *)
   Obs.Recorder.charge ~layer ~cause:Obs.Cause.Uk_crossing
     t.config.interrupt_entry;
-  let itemized =
-    match charges with
-    | None -> 0
-    | Some parts ->
-      List.fold_left
-        (fun acc (ly, cause, ns) ->
-          Obs.Recorder.charge ~layer:ly ~cause ns;
-          acc + ns)
-        0 parts
-  in
   Obs.Recorder.charge ~layer ~cause:Obs.Cause.Proto_proc (cost - itemized);
-  Cpu.submit t.cpu ~key:Cpu.interrupt_key ~prio:0 ~label:("irq:" ^ name) ~layer
-    ~cost:(t.config.interrupt_entry + cost)
-    handler
+  Cpu.submit t.cpu ~key:Cpu.interrupt_key ~prio:0 ~needs_switch:true ~label:name
+    ~layer ~cost:(t.config.interrupt_entry + cost) handler
 
 let utilization t ~until =
   if until <= 0 then 0.

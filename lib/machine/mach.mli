@@ -1,4 +1,4 @@
-(** A simulated processor board: one CPU, a cost configuration, statistics.
+(** A simulated processor board: one CPU and a cost configuration.
 
     Corresponds to one Tsunami board of the paper's processor pool.  Network
     devices ([Nic]) and protocol stacks attach themselves to a machine; the
@@ -32,20 +32,20 @@ val name : t -> string
 val engine : t -> Sim.Engine.t
 val cpu : t -> Cpu.t
 val config : t -> config
-val stats : t -> Sim.Stats.t
 
 val interrupt :
   ?layer:Obs.Layer.t ->
-  ?charges:(Obs.Layer.t * Obs.Cause.t * Sim.Time.span) list ->
+  ?itemized:Sim.Time.span ->
   t -> name:string -> cost:Sim.Time.span -> (unit -> unit) -> unit
 (** [interrupt t ~name ~cost handler] models a hardware/software interrupt:
     [cost] CPU time at top priority (preempting any thread), then [handler]
     runs to completion in interrupt context.  Handlers must not block.
 
     For cost attribution (timing is unaffected): the fixed interrupt entry
-    is charged to [(layer, Uk_crossing)]; [cost] is charged per [charges]
-    with any un-itemised remainder going to [(layer, Proto_proc)].  [layer]
-    defaults to [App]. *)
+    is charged to [(layer, Uk_crossing)]; of [cost], the caller has charged
+    [itemized] (default 0) itself, and the remainder goes to
+    [(layer, Proto_proc)].  [layer] defaults to [App].  The CPU span is
+    named ["irq:<name>"]. *)
 
 val utilization : t -> until:Sim.Time.t -> float
 (** CPU busy fraction over [0, until]. *)

@@ -10,10 +10,8 @@ module Mutex = struct
   let charge t =
     (* Only threads pay the user-space lock cost; engine callbacks (tests,
        interrupt-adjacent code) may manipulate mutexes for free. *)
-    if Thread.self_opt () <> None then begin
-      Sim.Stats.incr (Mach.stats t.mach) "locks";
+    if Thread.in_thread () then
       Thread.compute (Mach.config t.mach).Mach.lock_cost
-    end
 
   let rec lock t =
     charge t;
@@ -63,12 +61,12 @@ module Condvar = struct
       (* Waking a kernel thread requires entering the kernel; charged only
          when called from a thread.  Interrupt context wakes for free (its
          own cost covers it). *)
-      if Thread.self_opt () <> None then Thread.syscall ();
+      if Thread.in_thread () then Thread.syscall ();
       wake ()
 
   let broadcast t =
     let n = Queue.length t.waiters in
-    if n > 0 && Thread.self_opt () <> None then Thread.syscall ();
+    if n > 0 && Thread.in_thread () then Thread.syscall ();
     for _ = 1 to n do
       match Queue.take_opt t.waiters with
       | Some wake -> wake ()

@@ -11,23 +11,19 @@ type t = {
   regwin : Regwin.t;
 }
 
-(* Fiber-id -> thread, domain-local: fiber ids are unique within a domain
-   (see [Sim.Fiber]), and each simulation runs entirely on one domain, so a
-   shared table would both race and leak entries across parallel runs. *)
-let table_key : (int, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+(* A thread rides in its fiber's local slot, so finding the running thread
+   is two loads, and a finished simulation holds no global reference. *)
+type Sim.Fiber.local += Thread_of of t
 
-let table () = Domain.DLS.get table_key
-
-let self_opt () =
-  match Sim.Fiber.self_opt () with
-  | None -> None
-  | Some f -> Hashtbl.find_opt (table ()) (Sim.Fiber.id f)
+let self_slot () =
+  match Sim.Fiber.self_opt () with Some f -> Sim.Fiber.local f | None -> Sim.Fiber.Unset
 
 let self () =
-  match self_opt () with
-  | Some t -> t
-  | None -> invalid_arg "Thread.self: not inside a machine thread"
+  match self_slot () with
+  | Thread_of t -> t
+  | _ -> invalid_arg "Thread.self: not inside a machine thread"
+
+let in_thread () = match self_slot () with Thread_of _ -> true | _ -> false
 
 let machine t = t.mach
 let name t = t.tname
@@ -50,9 +46,7 @@ let spawn mach ?(prio = Normal) tname body =
     Sim.Fiber.spawn (Mach.engine mach) ~name:(Mach.name mach ^ "/" ^ tname) (fun () -> body ())
   in
   t.fib <- Some fib;
-  let table = table () in
-  Hashtbl.replace table (Sim.Fiber.id fib) t;
-  Sim.Fiber.on_exit fib (fun () -> Hashtbl.remove table (Sim.Fiber.id fib));
+  Sim.Fiber.set_local fib (Thread_of t);
   t
 
 let alive t = match t.fib with Some f -> Sim.Fiber.alive f | None -> false
@@ -67,36 +61,21 @@ let submit_self t ~layer d =
   if d < 0 then invalid_arg "Thread.compute: negative duration";
   if d = 0 then ()
   else begin
-    Sim.Stats.add (Mach.stats t.mach) "cpu.requested_ns" d;
     let needs_switch = t.blocked_since_run in
     t.blocked_since_run <- false;
     Sim.Fiber.suspend (fun fib resume ->
-        ignore fib;
-        Cpu.submit ~needs_switch ~label:t.tname ~layer (Mach.cpu t.mach)
-          ~key:(Sim.Fiber.id (fiber t))
-          ~prio:(prio_level t.tprio) ~cost:d resume)
+        Cpu.submit (Mach.cpu t.mach) ~key:(Sim.Fiber.id fib)
+          ~prio:(prio_level t.tprio) ~needs_switch ~label:t.tname ~layer ~cost:d
+          resume)
   end
 
-let compute ?(cause = Obs.Cause.Proto_proc) ?(layer = Obs.Layer.App) d =
+let compute ?(cause = Obs.Cause.Proto_proc) ?(layer = Obs.Layer.App) ?(itemized = 0) d =
   let t = self () in
-  Obs.Recorder.charge ~layer ~cause d;
+  Obs.Recorder.charge ~layer ~cause (d - itemized);
   submit_self t ~layer d
-
-let compute_parts ?(layer = Obs.Layer.App) parts =
-  let t = self () in
-  let total =
-    List.fold_left
-      (fun acc (cause, d) ->
-        if d < 0 then invalid_arg "Thread.compute_parts: negative duration";
-        Obs.Recorder.charge ~layer ~cause d;
-        acc + d)
-      0 parts
-  in
-  submit_self t ~layer total
 
 let charge_traps t ~layer n =
   if n > 0 then begin
-    Sim.Stats.add (Mach.stats t.mach) "regwin.traps" n;
     let d = n * (Mach.config t.mach).Mach.trap_cost in
     Obs.Recorder.charge ~layer ~cause:Obs.Cause.Regwin_trap d;
     Obs.Recorder.count "obs.regwin.traps" n;
@@ -111,23 +90,11 @@ let ret_frames ?(layer = Obs.Layer.App) n =
   let t = self () in
   charge_traps t ~layer (Regwin.ret t.regwin n)
 
-let syscall ?(kernel_work = 0) ?(layer = Obs.Layer.App) ?charges () =
+let syscall ?(kernel_work = 0) ?(layer = Obs.Layer.App) ?(itemized = 0) () =
   let t = self () in
-  Sim.Stats.incr (Mach.stats t.mach) "syscalls";
   let base = (Mach.config t.mach).Mach.syscall_base in
   Obs.Recorder.charge ~layer ~cause:Obs.Cause.Uk_crossing base;
-  let itemized =
-    match charges with
-    | None -> 0
-    | Some parts ->
-      List.fold_left
-        (fun acc (ly, cause, ns) ->
-          Obs.Recorder.charge ~layer:ly ~cause ns;
-          acc + ns)
-        0 parts
-  in
-  Obs.Recorder.charge ~layer ~cause:Obs.Cause.Proto_proc
-    (kernel_work - itemized);
+  Obs.Recorder.charge ~layer ~cause:Obs.Cause.Proto_proc (kernel_work - itemized);
   submit_self t ~layer (base + kernel_work);
   Regwin.syscall_save t.regwin
 

@@ -21,7 +21,9 @@ val spawn : Mach.t -> ?prio:prio -> string -> (unit -> unit) -> t
 val self : unit -> t
 (** @raise Invalid_argument when not called from a thread. *)
 
-val self_opt : unit -> t option
+val in_thread : unit -> bool
+(** The caller runs in a machine thread. *)
+
 val machine : t -> Mach.t
 val name : t -> string
 val fiber : t -> Sim.Fiber.t
@@ -30,16 +32,16 @@ val alive : t -> bool
 val kill : t -> unit
 val join : t -> unit
 
-val compute : ?cause:Obs.Cause.t -> ?layer:Obs.Layer.t -> Sim.Time.span -> unit
+val compute :
+  ?cause:Obs.Cause.t -> ?layer:Obs.Layer.t -> ?itemized:Sim.Time.span ->
+  Sim.Time.span -> unit
 (** [compute d] occupies the calling thread's CPU for [d] (plus any
     context-switch cost and preemption delays).  For cost attribution only
     (no timing effect), the work is charged to [(layer, cause)], defaulting
-    to [(App, Proto_proc)]. *)
-
-val compute_parts :
-  ?layer:Obs.Layer.t -> (Obs.Cause.t * Sim.Time.span) list -> unit
-(** Like {!compute} on the sum of the parts — a single CPU job, identical
-    timing — but each part is attributed to its own cause. *)
+    to [(App, Proto_proc)].  A caller that splits [d] among causes charges
+    the parts itself ({!Obs.Recorder.charge}) and passes their sum as
+    [itemized] (default 0): only [d - itemized] goes to [(layer, cause)].
+    It is still one CPU job, so the timing is that of the whole. *)
 
 val call_frames : ?layer:Obs.Layer.t -> int -> unit
 (** Models descending [n] call frames; charges overflow traps. *)
@@ -50,15 +52,16 @@ val ret_frames : ?layer:Obs.Layer.t -> int -> unit
 val syscall :
   ?kernel_work:Sim.Time.span ->
   ?layer:Obs.Layer.t ->
-  ?charges:(Obs.Layer.t * Obs.Cause.t * Sim.Time.span) list ->
+  ?itemized:Sim.Time.span ->
   unit -> unit
 (** One user/kernel round trip from the calling thread: charges the base
     crossing cost plus [kernel_work], and marks all register windows saved
     so the thread's subsequent [ret_frames] suffer underflow traps.
 
     Attribution (timing unaffected): the base crossing goes to
-    [(layer, Uk_crossing)]; [kernel_work] follows [charges] with any
-    remainder charged to [(layer, Proto_proc)]. *)
+    [(layer, Uk_crossing)]; of [kernel_work], the caller has charged
+    [itemized] (default 0) itself, and the remainder goes to
+    [(layer, Proto_proc)]. *)
 
 val mark_direct_wake : t -> unit
 (** Declares that [t]'s pending wakeup is a direct return from kernel or

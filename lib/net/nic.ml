@@ -33,20 +33,22 @@ let deliver t frame =
      NIC, per-byte time to copying — except header bytes, whose per-byte
      reception time is billed to the layer that put the header on the
      wire. *)
-  let hdr_bytes = Frame.hdr_bytes frame in
-  (* The header share of rx time is CPU time charged as Header_wire (so the
-     header-cost measurement matches the analytic differential); this
-     counter lets the ledger-vs-busy-time invariant stay exact. *)
-  Obs.Recorder.count "obs.nic.header_rx_ns" (hdr_bytes * t.config.rx_byte);
-  let charges =
-    (Obs.Layer.Nic, Obs.Cause.Proto_proc, t.config.rx_base + mcast_extra)
-    :: (Obs.Layer.Nic, Obs.Cause.Copy,
-        (frame.Frame.bytes - hdr_bytes) * t.config.rx_byte)
-    :: List.map
-         (fun (ly, b) -> (ly, Obs.Cause.Header_wire, b * t.config.rx_byte))
-         frame.Frame.hdr
-  in
-  Machine.Mach.interrupt t.mach ~layer:Obs.Layer.Nic ~charges ~name:"nic.rx"
+  if Obs.Recorder.recording () then begin
+    let hdr_bytes = Frame.hdr_bytes frame in
+    (* The header share of rx time is CPU time charged as Header_wire (so
+       the header-cost measurement matches the analytic differential); this
+       counter lets the ledger-vs-busy-time invariant stay exact. *)
+    Obs.Recorder.count "obs.nic.header_rx_ns" (hdr_bytes * t.config.rx_byte);
+    Obs.Recorder.charge ~layer:Obs.Layer.Nic ~cause:Obs.Cause.Proto_proc
+      (t.config.rx_base + mcast_extra);
+    Obs.Recorder.charge ~layer:Obs.Layer.Nic ~cause:Obs.Cause.Copy
+      ((frame.Frame.bytes - hdr_bytes) * t.config.rx_byte);
+    List.iter
+      (fun (ly, b) ->
+        Obs.Recorder.charge ~layer:ly ~cause:Obs.Cause.Header_wire (b * t.config.rx_byte))
+      frame.Frame.hdr
+  end;
+  Machine.Mach.interrupt t.mach ~layer:Obs.Layer.Nic ~itemized:cost ~name:"nic.rx"
     ~cost (fun () ->
       match t.rx with
       | Some handler -> handler frame

@@ -88,15 +88,17 @@ let rec start_next t =
        Queue.push (from, frame) t.queue
      | Delay _ -> t.delayed <- t.delayed + 1
      | Pass -> ());
-    if killed then
-      Obs.Recorder.charge ~layer:(top_layer frame) ~cause:Obs.Cause.Fault_wire wt
-    else
-      (* Wire occupancy attributable to protocol headers (not CPU time). *)
-      List.iter
-        (fun (ly, b) ->
-          Obs.Recorder.charge ~layer:ly ~cause:Obs.Cause.Header_wire
-            (b * t.config.byte_time))
-        frame.Frame.hdr;
+    if Obs.Recorder.recording () then begin
+      if killed then
+        Obs.Recorder.charge ~layer:(top_layer frame) ~cause:Obs.Cause.Fault_wire wt
+      else
+        (* Wire occupancy attributable to protocol headers (not CPU time). *)
+        List.iter
+          (fun (ly, b) ->
+            Obs.Recorder.charge ~layer:ly ~cause:Obs.Cause.Header_wire
+              (b * t.config.byte_time))
+          frame.Frame.hdr
+    end;
     (* Delayed frames free the medium at the normal time but reach the
        receivers late, so frames queued behind them overtake: reordering. *)
     (match verdict with

@@ -40,6 +40,7 @@ let current_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let active () = !(Domain.DLS.get current_key)
+let recording () = match active () with None -> false | Some _ -> true
 let install t = Domain.DLS.get current_key := Some t
 let uninstall () = Domain.DLS.get current_key := None
 

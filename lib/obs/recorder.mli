@@ -26,6 +26,11 @@ val install : t -> unit
 val uninstall : unit -> unit
 val active : unit -> t option
 
+val recording : unit -> bool
+(** A recorder is installed on the calling domain.  Guards the work of
+    building a probe's arguments (attribution loops, span names), so that
+    with no recorder the hot path allocates nothing for attribution. *)
+
 (** {1 Probes} — called from instrumented simulator code. All are no-ops when
     no recorder is installed. *)
 

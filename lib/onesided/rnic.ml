@@ -167,8 +167,8 @@ let handle_request t ~src ~op_id ~rkey ~off op =
      access plus emitting the reply — to (Onesided, Offload).  No thread
      is scheduled; this is the whole server-side data path. *)
   let cost = t.cfg.op_fixed + (op_words op * t.cfg.op_word) in
-  Machine.Mach.interrupt (machine t) ~layer:Obs.Layer.Onesided
-    ~charges:[ (Obs.Layer.Onesided, Obs.Cause.Offload, cost) ]
+  Obs.Recorder.charge ~layer:Obs.Layer.Onesided ~cause:Obs.Cause.Offload cost;
+  Machine.Mach.interrupt (machine t) ~layer:Obs.Layer.Onesided ~itemized:cost
     ~name:"os.op" ~cost
     (fun () -> execute t ~src ~op_id ~rkey ~off op)
 

@@ -333,13 +333,16 @@ let arm_recover_retry t s fo =
            if fo.fo_epoch = 0 then seq_enqueue s It_recover))
 
 let seq_fetch_syscall s =
-  let sys_cfg = System_layer.config s.sq_sys in
-  Thread.syscall ~layer:Obs.Layer.Panda_grp
-    ~kernel_work:sys_cfg.System_layer.user_flip_extra
-    ~charges:
-      [ (Obs.Layer.Flip, Obs.Cause.Uk_crossing,
-         sys_cfg.System_layer.user_flip_extra) ]
-    ()
+  let extra = (System_layer.config s.sq_sys).System_layer.user_flip_extra in
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Uk_crossing extra;
+  Thread.syscall ~layer:Obs.Layer.Panda_grp ~kernel_work:extra ~itemized:extra ()
+
+(* The sequencer's per-item work: fixed ordering cost plus copying [bytes]
+   into user space. *)
+let order_work t ~bytes =
+  let copy = bytes * t.cfg.copy_byte in
+  Obs.Recorder.charge ~layer:Obs.Layer.Panda_grp ~cause:Obs.Cause.Copy copy;
+  Thread.compute ~layer:Obs.Layer.Panda_grp ~itemized:copy (t.cfg.order_fixed + copy)
 
 let order_fresh t s ~(o : order_req) =
   let e =
@@ -362,9 +365,7 @@ let seq_handle_item t s item =
       (* Fragment-level ordering: BB data is never copied up into the
          sequencer, only its ordering information. *)
       let copied = if o.o_bb then 0 else o.o_size in
-      Thread.compute_parts ~layer:Obs.Layer.Panda_grp
-        [ (Obs.Cause.Proto_proc, t.cfg.order_fixed);
-          (Obs.Cause.Copy, copied * t.cfg.copy_byte) ];
+      order_work t ~bytes:copied;
       match Hashtbl.find_opt s.ordered_ids (o.o_sender, o.o_local) with
       | Some seq -> (
           match Hashtbl.find_opt s.history seq with
@@ -417,9 +418,7 @@ let seq_handle_item t s item =
           let bytes =
             List.fold_left (fun a e -> a + 8 + e.e_size) 0 h_entries
           in
-          Thread.compute_parts ~layer:Obs.Layer.Panda_grp
-            [ (Obs.Cause.Proto_proc, t.cfg.order_fixed);
-              (Obs.Cause.Copy, bytes * t.cfg.copy_byte) ];
+          order_work t ~bytes;
           if not fo.fo_resp.(h_member) then begin
             fo.fo_resp.(h_member) <- true;
             s.member_delivered.(h_member) <-
@@ -462,9 +461,7 @@ let seq_handle_batch t s (reqs : order_req list) =
   let fresh = ref [] in
   List.iter
     (fun (o : order_req) ->
-      Thread.compute_parts ~layer:Obs.Layer.Panda_grp
-        [ (Obs.Cause.Proto_proc, t.cfg.order_fixed);
-          (Obs.Cause.Copy, o.o_size * t.cfg.copy_byte) ];
+      order_work t ~bytes:o.o_size;
       match Hashtbl.find_opt s.ordered_ids (o.o_sender, o.o_local) with
       | Some seq -> (
           match Hashtbl.find_opt s.history seq with
@@ -641,7 +638,7 @@ let trim_hist_below m lo =
 let deliver m e =
   Obs.Recorder.with_span (m_eng m) Obs.Layer.Panda_grp "deliver" @@ fun () ->
   (* Ordering/delivery bookkeeping runs in the daemon thread. *)
-  if Thread.self_opt () <> None then
+  if Thread.in_thread () then
     Thread.compute ~layer:Obs.Layer.Panda_grp m.grp.cfg.deliver_cost;
   record_hist m e;
   (match m.handler with

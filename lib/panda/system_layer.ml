@@ -141,10 +141,15 @@ let upcall t ~src ~size payload =
    crosses the user/kernel boundary (this PR does not model user-level
    network access; that stays a separate ablation). *)
 let recv_crossing t =
-  Thread.syscall ~layer:Obs.Layer.Panda_sys
-    ~kernel_work:t.cfg.user_flip_extra
-    ~charges:[ (Obs.Layer.Flip, Obs.Cause.Uk_crossing, t.cfg.user_flip_extra) ]
-    ()
+  let extra = t.cfg.user_flip_extra in
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Uk_crossing extra;
+  Thread.syscall ~layer:Obs.Layer.Panda_sys ~kernel_work:extra ~itemized:extra ()
+
+(* Per-packet receive processing: fixed work plus the copy up. *)
+let recv_work t bytes =
+  let copy = copied_bytes t bytes * t.cfg.copy_byte in
+  Obs.Recorder.charge ~layer:Obs.Layer.Panda_sys ~cause:Obs.Cause.Copy copy;
+  Thread.compute ~layer:Obs.Layer.Panda_sys ~itemized:copy (t.cfg.recv_fixed + copy)
 
 let rec daemon_loop t =
   (match Queue.take_opt t.rx_q with
@@ -156,9 +161,7 @@ let rec daemon_loop t =
      Obs.Recorder.with_span (Mach.engine (machine t)) Obs.Layer.Panda_sys "rx"
        (fun () ->
          recv_crossing t;
-         Thread.compute_parts ~layer:Obs.Layer.Panda_sys
-           [ (Obs.Cause.Proto_proc, t.cfg.recv_fixed);
-             (Obs.Cause.Copy, copied_bytes t frag.Flip.Fragment.bytes * t.cfg.copy_byte) ];
+         recv_work t frag.Flip.Fragment.bytes;
          (* Shared protocol state is guarded by user-space locks; this is
             where the paper's 7x lock traffic comes from. *)
          Sync.Mutex.lock t.qmutex;
@@ -175,9 +178,7 @@ let rec daemon_loop t =
      Obs.Recorder.with_span (Mach.engine (machine t)) Obs.Layer.Panda_sys "rx-fast"
        (fun () ->
          recv_crossing t;
-         Thread.compute_parts ~layer:Obs.Layer.Panda_sys
-           [ (Obs.Cause.Proto_proc, t.cfg.recv_fixed);
-             (Obs.Cause.Copy, copied_bytes t f_bytes * t.cfg.copy_byte) ];
+         recv_work t f_bytes;
          (* No reassembly, no reassembly lock: the message completed in
             the interrupt handler. *)
          t.n_msgs_in <- t.n_msgs_in + 1;
@@ -233,13 +234,12 @@ let send_from_thread ?tag ?hdr t ~target ~size payload =
         (fun frag ->
           let copy = copied_bytes t frag.Flip.Fragment.bytes * t.cfg.copy_byte in
           let out = Flip.Flip_iface.send_cost t.flip ~size:(wire_bytes t frag) in
-          Thread.syscall ~layer:Obs.Layer.Panda_sys
-            ~kernel_work:(t.cfg.user_flip_extra + copy + out)
-            ~charges:
-              [ (Obs.Layer.Flip, Obs.Cause.Uk_crossing, t.cfg.user_flip_extra);
-                (Obs.Layer.Panda_sys, Obs.Cause.Copy, copy);
-                (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-            ();
+          let work = t.cfg.user_flip_extra + copy + out in
+          Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Uk_crossing
+            t.cfg.user_flip_extra;
+          Obs.Recorder.charge ~layer:Obs.Layer.Panda_sys ~cause:Obs.Cause.Copy copy;
+          Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc out;
+          Thread.syscall ~layer:Obs.Layer.Panda_sys ~kernel_work:work ~itemized:work ();
           transmit_one ?hdr t ~target frag)
         frags;
       Thread.ret_frames ~layer:Obs.Layer.Panda_sys t.cfg.send_depth)
@@ -262,8 +262,8 @@ let transmit_from_interrupt ?tag ?hdr t ~target ~size payload =
       (fun acc frag -> acc + Flip.Flip_iface.send_cost t.flip ~size:(wire_bytes t frag))
       0 frags
   in
-  Mach.interrupt (machine t) ~layer:Obs.Layer.Panda_sys
-    ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, cost) ]
+  Obs.Recorder.charge ~layer:Obs.Layer.Flip ~cause:Obs.Cause.Proto_proc cost;
+  Mach.interrupt (machine t) ~layer:Obs.Layer.Panda_sys ~itemized:cost
     ~name:"panda.retrans" ~cost (fun () ->
       List.iter (fun frag -> transmit_one ?hdr t ~target frag) frags)
 
@@ -283,7 +283,7 @@ let wake_blocked ?thread t resume =
     ignore th;
     resume ()
   | _ ->
-    if Thread.self_opt () <> None then
+    if Thread.in_thread () then
       Thread.syscall ~layer:Obs.Layer.Panda_sys ();
     resume ()
 

@@ -30,6 +30,8 @@ type lane = {
   l_id : int;
   l_heap : (unit -> unit) Heap.t;
   l_wheel : (unit -> unit) Wheel.t;
+  l_emit : time:Time.t -> seq:int -> handle:Wheel.handle -> (unit -> unit) -> int;
+      (* drains a due wheel entry into [l_heap]; built once per lane *)
   mutable l_clock : Time.t;
   mutable l_seq : int;  (* next (time, seq) tie-break for this lane *)
   mutable l_xseq : int;  (* next cross-lane send stamp *)
@@ -57,6 +59,8 @@ exception Fiber_failure of string * exn
 
 type handle = int
 
+let no_handle = -1
+
 (* Handle layout: [lane:7 | kind:1 | payload:54].  kind 0 = heap, 1 = wheel;
    the payload is the structure's own gen/slot packing.  A 1-lane engine's
    heap handles are therefore numerically identical to the payload. *)
@@ -81,10 +85,19 @@ let live_hw () = Atomic.get global_live_hw
 let reset_live_hw () = Atomic.set global_live_hw 0
 
 let make_lane id =
+  let heap = Heap.create ~dummy:ignore () and wheel = Wheel.create ~dummy:ignore () in
   {
     l_id = id;
-    l_heap = Heap.create ~dummy:ignore ();
-    l_wheel = Wheel.create ~dummy:ignore ();
+    l_heap = heap;
+    l_wheel = wheel;
+    l_emit =
+      (fun ~time ~seq ~handle f ->
+        (* The wrapper reclaims the forwarding slot when the migrated
+           event fires, so stale wheel handles can never resurrect it. *)
+        (Heap.push_seq heap ~time ~seq (fun () ->
+             Wheel.release wheel handle;
+             f ())
+          :> int));
     l_clock = Time.zero;
     l_seq = 0;
     l_xseq = 0;
@@ -162,21 +175,20 @@ let cancel t h =
     else Heap.cancel lane.l_heap payload
   end
 
-(* Earliest pending event time in [lane], draining due wheel buckets into
-   the heap first so the heap top is authoritative. *)
+(* Earliest pending event time in [lane], or [max_int] when it has none,
+   draining due wheel buckets into the heap first so the heap top is
+   authoritative.  Sentinels rather than options: this runs before every
+   event. *)
 let rec lane_next_time lane =
-  let hp = Heap.peek_time lane.l_heap in
-  match Wheel.next_boundary lane.l_wheel with
-  | Some b when (match hp with None -> true | Some ht -> b <= ht) ->
-    Wheel.advance lane.l_wheel ~upto:b ~emit:(fun ~time ~seq ~handle f ->
-        (* The wrapper reclaims the forwarding slot when the migrated
-           event fires, so stale wheel handles can never resurrect it. *)
-        (Heap.push_seq lane.l_heap ~time ~seq (fun () ->
-             Wheel.release lane.l_wheel handle;
-             f ())
-          :> int));
+  let hp =
+    if Heap.is_empty lane.l_heap then max_int else Heap.min_time_exn lane.l_heap
+  in
+  let b = Wheel.next_boundary lane.l_wheel in
+  if b <> max_int && b <= hp then begin
+    Wheel.advance lane.l_wheel ~upto:b ~emit:lane.l_emit;
     lane_next_time lane
-  | _ -> hp
+  end
+  else hp
 
 let exec_next t lane =
   let time = Heap.min_time_exn lane.l_heap in
@@ -190,11 +202,11 @@ let step t =
   if Array.length t.lanes > 1 then
     invalid_arg "Sim.Engine.step: laned engine (use run)";
   let lane = t.lanes.(0) in
-  match lane_next_time lane with
-  | None -> false
-  | Some _ ->
+  if lane_next_time lane = max_int then false
+  else begin
     exec_next t lane;
     true
+  end
 
 let flush_executed t =
   let e = executed t in
@@ -214,25 +226,22 @@ let flush_executed t =
 
 let run_seq ?until t =
   let lane = t.lanes.(0) in
-  let continue () =
-    if t.stopped then false
-    else
-      match lane_next_time lane with
-      | None -> false
-      | Some time -> (
-        match until with Some limit -> time <= limit | None -> true)
-  in
-  while continue () do
-    exec_next t lane
+  let limit = match until with Some limit -> limit | None -> max_int in
+  let running = ref true in
+  while !running do
+    let time = if t.stopped then max_int else lane_next_time lane in
+    if time <> max_int && time <= limit then exec_next t lane
+    else running := false
   done;
-  match until with
-  | Some limit
-    when (not t.stopped)
-         && lane.l_clock < limit
-         && lane_next_time lane <> None ->
+  if
+    (not t.stopped)
+    && lane.l_clock < limit
+    && limit <> max_int
+    && lane_next_time lane <> max_int
+  then begin
     lane.l_clock <- limit;
     t.clock <- limit
-  | _ -> ()
+  end
 
 (* ---- conservative laned path ---- *)
 
@@ -247,74 +256,60 @@ let lane_compare_xmsg a b =
    events alone, independent of shard count or execution interleaving. *)
 let merge_channels t =
   let msgs = ref [] in
-  Array.iter
-    (fun lane ->
-      if lane.l_out <> [] then begin
-        msgs := List.rev_append lane.l_out !msgs;
-        lane.l_out <- []
-      end)
-    t.lanes;
-  match !msgs with
-  | [] -> ()
-  | ms ->
-    let arr = Array.of_list ms in
+  for i = 0 to Array.length t.lanes - 1 do
+    let lane = t.lanes.(i) in
+    if lane.l_out <> [] then begin
+      msgs := List.rev_append lane.l_out !msgs;
+      lane.l_out <- []
+    end
+  done;
+  if !msgs <> [] then begin
+    let arr = Array.of_list !msgs in
     Array.sort lane_compare_xmsg arr;
-    Array.iter
-      (fun m ->
-        t.merged <- t.merged + 1;
-        ignore (push_lane t t.lanes.(m.x_dst) m.x_time m.x_fn))
-      arr
+    for i = 0 to Array.length arr - 1 do
+      let m = arr.(i) in
+      t.merged <- t.merged + 1;
+      ignore (push_lane t t.lanes.(m.x_dst) m.x_time m.x_fn)
+    done
+  end
 
 let run_lane_window t lane ~horizon =
   t.cur <- lane;
   t.clock <- lane.l_clock;
-  let continue () =
-    (not t.stopped)
-    &&
-    match lane_next_time lane with
-    | Some time -> time < horizon
-    | None -> false
-  in
-  while continue () do
+  while (not t.stopped) && lane_next_time lane < horizon do
     exec_next t lane
   done
 
+(* Each window enters every lane in order, idle or not: [t.cur] and
+   [t.clock] must end on the last lane, since code that runs once [run]
+   returns reads them. *)
 let run_laned ?until t =
   (* A [stop] can leave sends buffered mid-window; fold them in first. *)
   merge_channels t;
-  let rec window () =
-    if not t.stopped then begin
-      let tmin = ref max_int in
-      Array.iter
-        (fun lane ->
-          match lane_next_time lane with
-          | Some time when time < !tmin -> tmin := time
-          | _ -> ())
-        t.lanes;
-      if
-        !tmin <> max_int
-        && match until with Some limit -> !tmin <= limit | None -> true
-      then begin
-        let horizon = !tmin + t.lookahead in
-        let horizon =
-          match until with
-          | Some limit -> min horizon (limit + 1)
-          | None -> horizon
-        in
-        t.windows <- t.windows + 1;
-        Array.iter (fun lane -> run_lane_window t lane ~horizon) t.lanes;
-        merge_channels t;
-        window ()
-      end
+  let limit = match until with Some limit -> limit | None -> max_int in
+  let running = ref true in
+  while !running && not t.stopped do
+    let tmin = ref max_int in
+    for i = 0 to Array.length t.lanes - 1 do
+      let time = lane_next_time t.lanes.(i) in
+      if time < !tmin then tmin := time
+    done;
+    if !tmin <> max_int && !tmin <= limit then begin
+      let horizon = !tmin + t.lookahead in
+      let horizon = if limit = max_int then horizon else min horizon (limit + 1) in
+      t.windows <- t.windows + 1;
+      for i = 0 to Array.length t.lanes - 1 do
+        run_lane_window t t.lanes.(i) ~horizon
+      done;
+      merge_channels t
     end
-  in
-  window ();
-  match until with
-  | Some limit when not t.stopped ->
+    else running := false
+  done;
+  if (not t.stopped) && limit <> max_int then begin
     (* Mirror the sequential clamp: park every idle lane at the limit. *)
     let remaining = ref false in
     Array.iter
-      (fun lane -> if lane_next_time lane <> None then remaining := true)
+      (fun lane -> if lane_next_time lane <> max_int then remaining := true)
       t.lanes;
     if !remaining then begin
       Array.iter
@@ -322,7 +317,7 @@ let run_laned ?until t =
         t.lanes;
       t.clock <- limit
     end
-  | _ -> ()
+  end
 
 let run ?until t =
   t.stopped <- false;

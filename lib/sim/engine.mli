@@ -52,6 +52,10 @@ type handle = private int
     int packing (lane, scheduler kind, slot/generation); stale handles
     are harmless. *)
 
+val no_handle : handle
+(** A handle that names no event: cancelling it is a no-op.  Lets a
+    mutable handle field stand empty without an option. *)
+
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** [at t time f] runs [f] when the clock reaches [time].  [time] must not be
     in the past. *)

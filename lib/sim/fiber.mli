@@ -19,15 +19,13 @@ val suspend : (t -> (unit -> unit) -> unit) -> unit
 (** [suspend register] blocks the calling fiber.  [register fiber resume] is
     called immediately; stash [resume] somewhere and call it (once) to
     reschedule the fiber at the then-current instant.  Extra calls to
-    [resume] are ignored.  Must be called from inside a fiber. *)
-
-val set_wake_cleanup : t -> (unit -> unit) -> unit
-(** For use inside a {!suspend} [register] function: installs a cleanup that
-    runs exactly once when the fiber is resumed or killed — typically to
-    cancel a pending timer so dead events do not drag the clock forward. *)
+    [resume] are ignored, and so is a [resume] kept from an earlier
+    suspension.  Must be called from inside a fiber. *)
 
 val sleep : Time.span -> unit
-(** Blocks the calling fiber for the given simulated duration. *)
+(** Blocks the calling fiber for the given simulated duration.  A kill
+    during the sleep cancels its timer, so the dead wake-up does not drag
+    the clock forward. *)
 
 val yield : unit -> unit
 (** Reschedules the calling fiber behind events queued at this instant. *)
@@ -36,6 +34,7 @@ val self : unit -> t
 (** The running fiber.  @raise Invalid_argument outside any fiber. *)
 
 val self_opt : unit -> t option
+(** Allocation-free: every fiber carries its own [Some]. *)
 
 val in_fiber : unit -> bool
 
@@ -59,3 +58,14 @@ val join : t -> unit
     already dead. *)
 
 val engine : t -> Engine.t
+
+(** {1 Fiber-local slot} *)
+
+type local = ..
+(** One slot per fiber for a layer that binds its own state to a fiber
+    ([Machine.Thread] keeps its thread here), read without a lookup. *)
+
+type local += Unset  (** the slot of a fresh fiber *)
+
+val local : t -> local
+val set_local : t -> local -> unit

@@ -219,11 +219,10 @@ let rescan t =
   t.min_start <- !m
 
 let next_boundary t =
-  if t.live = 0 then None
+  if t.live = 0 then max_int
   else begin
     if t.min_start = max_int then rescan t;
-    (* min_start can point at a bucket emptied purely by cancels. *)
-    if t.min_start = max_int then None else Some t.min_start
+    t.min_start
   end
 
 (* Flush every bucket whose start is <= [upto].  Entries now within one

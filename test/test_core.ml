@@ -61,6 +61,28 @@ let test_cluster_shapes () =
   check_bool "no switch for one segment" true
     (small.Core.Cluster.topo.Net.Topology.switch = None)
 
+(* Daemon threads never exit, so nothing process-wide may hold on to a
+   thread: once its handles are dropped, a finished simulation is garbage. *)
+let test_finished_simulation_collectable () =
+  let run () =
+    let c = Core.Cluster.create ~lanes:false ~n:2 () in
+    let dom = Core.Cluster.domain c Core.Cluster.User in
+    let obj =
+      Orca.Rts.declare dom ~name:"leak" ~placement:(Orca.Rts.Owned 1) ~init:(fun ~rank:_ -> 0)
+    in
+    let get = Orca.Rts.defop obj ~name:"get" ~kind:`Read (fun _ _ -> Sim.Payload.Empty) in
+    ignore
+      (Orca.Rts.spawn dom ~rank:0 "invoker" (fun ~rank:_ ->
+           ignore (Orca.Rts.invoke get Sim.Payload.Empty)));
+    Sim.Engine.run c.Core.Cluster.eng;
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some c.Core.Cluster.eng);
+    w
+  in
+  let w = run () in
+  Gc.full_major ();
+  check_bool "engine collected" false (Weak.check w 0)
+
 let test_runner_validates_checksum () =
   let o =
     Core.Runner.run ~impl:Core.Cluster.User ~procs:2
@@ -108,5 +130,7 @@ let () =
           Alcotest.test_case "shapes" `Quick test_cluster_shapes;
           Alcotest.test_case "runner validates" `Quick test_runner_validates_checksum;
           Alcotest.test_case "dedicated workers" `Quick test_dedicated_sequencer_worker_count;
+          Alcotest.test_case "finished simulation collectable" `Quick
+            test_finished_simulation_collectable;
         ] );
     ]

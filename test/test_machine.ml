@@ -384,6 +384,177 @@ let prop_cpu_all_jobs_complete =
       && Cpu.busy_time (Mach.cpu m) >= !total_work
       && Engine.now e >= !total_work)
 
+(* The queue-based scheduler [Cpu] had before its running job was
+   flattened into mutable fields and idle submits skipped the queue: every
+   job is queued and dispatched, so it is the reference the fast paths must
+   reproduce exactly. *)
+module Cpu_ref = struct
+  type job = {
+    key : int;
+    prio : int;
+    mutable needs_switch : bool;
+    mutable remaining : Time.span;
+    on_complete : unit -> unit;
+  }
+
+  type running = {
+    job : job;
+    started : Time.t;
+    switch : Time.span;
+    mutable handle : Engine.handle option;
+  }
+
+  type t = {
+    eng : Engine.t;
+    costs : Cpu.switch_costs;
+    mutable current : running option;
+    ready : job Queue.t array;
+    mutable last : int;
+    mutable busy_ns : Time.span;
+    mutable busy_intr_ns : Time.span;
+    mutable n_switches : int;
+  }
+
+  let create eng costs =
+    { eng; costs; current = None; ready = Array.init 3 (fun _ -> Queue.create ());
+      last = -2; busy_ns = 0; busy_intr_ns = 0; n_switches = 0 }
+
+  let accrue t running now =
+    let elapsed = now - running.started in
+    t.busy_ns <- t.busy_ns + elapsed;
+    if running.job.key = Cpu.interrupt_key then
+      t.busy_intr_ns <- t.busy_intr_ns + elapsed
+
+  let switch_cost t ~preempting job =
+    if job.key = Cpu.interrupt_key then 0
+    else if job.key = t.last then if job.needs_switch then t.costs.Cpu.warm else 0
+    else if preempting then t.costs.Cpu.cold_preempt
+    else t.costs.Cpu.cold_idle
+
+  let rec start t ~preempting job =
+    let switch = switch_cost t ~preempting job in
+    if job.key <> Cpu.interrupt_key then begin
+      if switch > 0 then t.n_switches <- t.n_switches + 1;
+      t.last <- job.key;
+      job.needs_switch <- false
+    end;
+    let running = { job; started = Engine.now t.eng; switch; handle = None } in
+    running.handle <-
+      Some (Engine.after t.eng (switch + job.remaining) (fun () -> complete t running));
+    t.current <- Some running
+
+  and complete t running =
+    accrue t running (Engine.now t.eng);
+    t.current <- None;
+    running.job.on_complete ();
+    dispatch t
+
+  and dispatch t =
+    if t.current = None then
+      let rec pick i =
+        if i < 3 then
+          match Queue.take_opt t.ready.(i) with
+          | Some job -> start t ~preempting:false job
+          | None -> pick (i + 1)
+      in
+      pick 0
+
+  let preempt t running =
+    let now = Engine.now t.eng in
+    Option.iter (Engine.cancel t.eng) running.handle;
+    accrue t running now;
+    let elapsed_work = max 0 (now - running.started - running.switch) in
+    running.job.remaining <- max 0 (running.job.remaining - elapsed_work);
+    t.current <- None;
+    let q = t.ready.(running.job.prio) in
+    let rest = Queue.copy q in
+    Queue.clear q;
+    Queue.push running.job q;
+    Queue.transfer rest q
+
+  let submit t ~key ~prio ~needs_switch ~cost on_complete =
+    let job = { key; prio; needs_switch; remaining = cost; on_complete } in
+    match t.current with
+    | None ->
+      Queue.push job t.ready.(prio);
+      dispatch t
+    | Some running when prio < running.job.prio ->
+      preempt t running;
+      start t ~preempting:true job
+    | Some _ -> Queue.push job t.ready.(prio)
+end
+
+(* A job: context key (-1 = interrupt), priority, needs_switch, cost in us.
+   A submission carries the jobs its completion submits from inside
+   [on_complete]. *)
+type cpu_job = int * int * bool * int
+
+let gen_cpu_job : cpu_job QCheck.Gen.t =
+  QCheck.Gen.(
+    quad (int_range (-1) 2) (int_range 0 2) bool (int_range 0 200))
+
+let gen_cpu_script =
+  QCheck.Gen.(
+    list_size (int_range 1 25)
+      (triple (int_range 0 800) gen_cpu_job (list_size (int_range 0 3) gen_cpu_job)))
+
+let print_cpu_script script =
+  let job (k, p, n, c) = Printf.sprintf "(k%d p%d %b %dus)" k p n c in
+  String.concat "; "
+    (List.map
+       (fun (at, j, follow) ->
+         Printf.sprintf "@%dus %s -> [%s]" at (job j) (String.concat " " (List.map job follow)))
+       script)
+
+(* Run [script] through one scheduler; returns the completion order with
+   times, busy time, interrupt busy time and switch count. *)
+let run_cpu_script script submit stats =
+  let e = Engine.create () in
+  let submit = submit e in
+  let done_ = ref [] and next_id = ref 0 in
+  let rec issue (key, prio, needs_switch, cost) follow =
+    let id = !next_id in
+    incr next_id;
+    submit ~key ~prio ~needs_switch ~cost:(Time.us cost) (fun () ->
+        done_ := (id, Engine.now e) :: !done_;
+        List.iter (fun j -> issue j []) follow)
+  in
+  List.iter
+    (fun (at, j, follow) -> ignore (Engine.at e (Time.us at) (fun () -> issue j follow)))
+    script;
+  Engine.run e;
+  (List.rev !done_, stats ())
+
+let prop_cpu_matches_reference =
+  QCheck.Test.make ~name:"cpu matches the queue-based reference scheduler" ~count:500
+    (QCheck.make ~print:print_cpu_script gen_cpu_script)
+    (fun script ->
+      let costs = { Cpu.warm = config.Mach.ctx_warm; cold_idle = config.Mach.ctx_cold_idle;
+                    cold_preempt = config.Mach.ctx_cold_preempt } in
+      let cpu = ref None and cref = ref None in
+      let real =
+        run_cpu_script script
+          (fun e ->
+            let c = Cpu.create e costs in
+            cpu := Some c;
+            fun ~key ~prio ~needs_switch ~cost k ->
+              Cpu.submit c ~key ~prio ~needs_switch ~label:"j" ~layer:Obs.Layer.App ~cost k)
+          (fun () ->
+            let c = Option.get !cpu in
+            (Cpu.busy_time c, Cpu.busy_interrupt_time c, Cpu.switches c))
+      in
+      let reference =
+        run_cpu_script script
+          (fun e ->
+            let c = Cpu_ref.create e costs in
+            cref := Some c;
+            Cpu_ref.submit c)
+          (fun () ->
+            let c = Option.get !cref in
+            (c.Cpu_ref.busy_ns, c.Cpu_ref.busy_intr_ns, c.Cpu_ref.n_switches))
+      in
+      real = reference)
+
 let prop_segment_fifo_per_receiver =
   QCheck.Test.make ~name:"segment delivers FIFO per sender" ~count:100
     QCheck.(pair (int_range 1 30) (int_range 1 1_000_000))
@@ -435,7 +606,8 @@ let () =
           Alcotest.test_case "interrupt delays compute" `Quick test_interrupt_delays_compute;
           Alcotest.test_case "interrupt keeps context" `Quick test_interrupt_does_not_clobber_context;
           Alcotest.test_case "syscall + windows" `Quick test_syscall_charges_and_saves_windows;
-        ] );
+        ]
+        @ qsuite [ prop_cpu_matches_reference ] );
       ( "sync",
         [
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;

@@ -424,6 +424,62 @@ let test_fiber_kill_runs_exit_hooks () =
   Engine.run e;
   check_bool "hook ran" true !hook
 
+let test_fiber_stale_resume_ignored () =
+  let e = Engine.create () in
+  let first = ref ignore and second = ref ignore and woke = ref [] in
+  ignore
+    (Fiber.spawn e (fun () ->
+         Fiber.suspend (fun _ resume -> first := resume);
+         woke := Engine.now e :: !woke;
+         Fiber.suspend (fun _ resume -> second := resume);
+         woke := Engine.now e :: !woke));
+  ignore
+    (Fiber.spawn e (fun () ->
+         Fiber.sleep 5;
+         !first ();
+         Fiber.sleep 5;
+         (* Kept from the first suspension: must not end the second. *)
+         !first ();
+         Fiber.sleep 10;
+         !second ()));
+  Engine.run e;
+  Alcotest.(check (list int)) "woken at 5 and 20" [ 5; 20 ] (List.rev !woke)
+
+let test_fiber_double_resume_ignored () =
+  let e = Engine.create () in
+  let wake = ref ignore and woke = ref [] in
+  ignore
+    (Fiber.spawn e (fun () ->
+         Fiber.suspend (fun _ resume -> wake := resume);
+         woke := Engine.now e :: !woke;
+         Fiber.sleep 100;
+         woke := Engine.now e :: !woke));
+  ignore
+    (Fiber.spawn e (fun () ->
+         Fiber.sleep 5;
+         !wake ();
+         (* A second call must neither cut the following sleep short nor
+            resume the fiber twice. *)
+         !wake ()));
+  Engine.run e;
+  Alcotest.(check (list int)) "woken once, slept in full" [ 5; 105 ] (List.rev !woke)
+
+let test_fiber_kill_cancels_sleep_timer () =
+  let e = Engine.create () in
+  let victim = Fiber.spawn e (fun () -> Fiber.sleep (Time.sec 1)) in
+  let pending_after_kill = ref (-1) in
+  ignore
+    (Fiber.spawn e (fun () ->
+         Fiber.sleep 10;
+         Fiber.kill victim;
+         Fiber.kill victim;
+         (* Only the victim's resume event is left: its timer is gone. *)
+         pending_after_kill := Engine.pending e));
+  Engine.run e;
+  check_int "timer cancelled once, resume queued once" 1 !pending_after_kill;
+  check_bool "victim dead" false (Fiber.alive victim);
+  check_int "clock stops at the kill" 10 (Engine.now e)
+
 let test_fiber_exception_propagates () =
   let e = Engine.create () in
   ignore (Fiber.spawn e ~name:"bad" (fun () -> failwith "boom"));
@@ -648,6 +704,9 @@ let () =
           Alcotest.test_case "join dead" `Quick test_fiber_join_dead;
           Alcotest.test_case "kill suspended" `Quick test_fiber_kill_suspended;
           Alcotest.test_case "kill runs exit hooks" `Quick test_fiber_kill_runs_exit_hooks;
+          Alcotest.test_case "stale resume ignored" `Quick test_fiber_stale_resume_ignored;
+          Alcotest.test_case "double resume ignored" `Quick test_fiber_double_resume_ignored;
+          Alcotest.test_case "kill cancels sleep timer" `Quick test_fiber_kill_cancels_sleep_timer;
           Alcotest.test_case "exception propagates" `Quick test_fiber_exception_propagates;
           Alcotest.test_case "self name" `Quick test_fiber_self_name;
           Alcotest.test_case "unique ids" `Quick test_fiber_ids_unique;
