@@ -62,29 +62,28 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
     end;
     if fin >= w_start && fin < w_end then incr completed
   in
-  (* Window boundaries: snapshot every CPU's busy time and scope an Obs
-     recorder to exactly the measurement window. *)
+  (* Window boundaries: snapshot every CPU's busy time, and scope the
+     caller's Obs recorder, if it handed one, to exactly the measurement
+     window.  Without one nothing is installed or uninstalled, so a
+     recorder the caller installed itself stays the active one. *)
   let n_mach = Array.length machines in
   let busy0 = Array.make n_mach 0 and busy1 = Array.make n_mach 0 in
   let seq_busy0 = ref 0 and seq_busy1 = ref 0 in
   let srv_intr0 = ref 0 and srv_intr1 = ref 0 in
   let seq_busy m = Machine.Cpu.busy_time (Machine.Mach.cpu m) in
   let intr_busy m = Machine.Cpu.busy_interrupt_time (Machine.Mach.cpu m) in
-  let recorder =
-    match recorder with Some r -> r | None -> Obs.Recorder.create ()
-  in
   ignore
     (Sim.Engine.at eng w_start (fun () ->
          Array.iteri (fun i m -> busy0.(i) <- seq_busy m) machines;
          (match seq_machine with Some m -> seq_busy0 := seq_busy m | None -> ());
          srv_intr0 := intr_busy machines.(server);
-         Obs.Recorder.install recorder));
+         Option.iter Obs.Recorder.install recorder));
   ignore
     (Sim.Engine.at eng w_end (fun () ->
          Array.iteri (fun i m -> busy1.(i) <- seq_busy m) machines;
          (match seq_machine with Some m -> seq_busy1 := seq_busy m | None -> ());
          srv_intr1 := intr_busy machines.(server);
-         Obs.Recorder.uninstall ()));
+         match recorder with Some _ -> Obs.Recorder.uninstall () | None -> ()));
   (* One RNG per client, split in client order from the root seed. *)
   let root = Sim.Rng.create ~seed:cfg.seed in
   let mean_gap_ns = if cfg.rate > 0. then 1e9 /. per_client_rate else 0. in
@@ -220,7 +219,6 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
     server_util;
     server_thread_util;
     seq_util;
-    ledger_cpu_ms = float_of_int (Obs.Recorder.cpu_ns recorder) /. 1e6;
     violations = 0;
     per_shard = [||];
   }

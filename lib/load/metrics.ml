@@ -15,7 +15,6 @@ type t = {
   server_util : float;
   server_thread_util : float;
   seq_util : float;
-  ledger_cpu_ms : float;
   violations : int;
   per_shard : int array;
 }

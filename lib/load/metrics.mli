@@ -28,9 +28,6 @@ type t = {
       (** sequencer machine busy fraction — the dedicated machine when one
           exists, otherwise the sequencer rank's machine; for RPC runs this
           equals [server_util] *)
-  ledger_cpu_ms : float;
-      (** total CPU ns charged to the Obs ledger over the window, in ms
-          (sums every machine; equals the busy-time deltas) *)
   violations : int;  (** conformance violations in checked mode, else 0 *)
   per_shard : int array;
       (** group traffic only: completions inside the window per ordering

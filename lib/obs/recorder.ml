@@ -20,6 +20,11 @@ type t = {
   ledger : int array array;  (* Layer.count x Cause.count, nanoseconds *)
   stats : Sim.Stats.t;
   mutable last_time : int;
+  (* Built once and reused by every span: a fiber's ["name#id"] track
+     (fiber ids are unique on the domain the recorder is installed on) and
+     each layer's ["span.<layer>.<name>"] stat keys, by span name. *)
+  fiber_tracks : (int, string) Hashtbl.t;
+  span_keys : (string, string) Hashtbl.t array;
 }
 
 let create () =
@@ -31,6 +36,8 @@ let create () =
     ledger = Array.init Layer.count (fun _ -> Array.make Cause.count 0);
     stats = Sim.Stats.create ();
     last_time = 0;
+    fiber_tracks = Hashtbl.create 32;
+    span_keys = Array.init Layer.count (fun _ -> Hashtbl.create 8);
   }
 
 (* The installed recorder is domain-local: parallel experiment jobs each
@@ -70,74 +77,93 @@ let observe name v =
   | None -> ()
   | Some t -> Sim.Stats.record t.stats name v
 
-let register_track t track =
-  if not (Hashtbl.mem t.open_stacks track) then begin
-    Hashtbl.add t.open_stacks track [];
-    t.tracks_rev <- track :: t.tracks_rev
-  end
+let open_span t ~track ~layer ~name ~now =
+  touch t now;
+  let stack =
+    match Hashtbl.find t.open_stacks track with
+    | stack -> stack
+    | exception Not_found ->
+      t.tracks_rev <- track :: t.tracks_rev;
+      []
+  in
+  let sp =
+    {
+      sp_track = track;
+      sp_layer = layer;
+      sp_name = name;
+      sp_begin = now;
+      sp_end = -1;
+      sp_depth = List.length stack;
+    }
+  in
+  Hashtbl.replace t.open_stacks track (sp :: stack);
+  t.spans_rev <- sp :: t.spans_rev;
+  t.n_spans <- t.n_spans + 1
+
+let span_key t layer name =
+  let keys = t.span_keys.(Layer.index layer) in
+  match Hashtbl.find keys name with
+  | key -> key
+  | exception Not_found ->
+    let key = Printf.sprintf "span.%s.%s" (Layer.to_string layer) name in
+    Hashtbl.add keys name key;
+    key
+
+let close_span t ~track ~now =
+  touch t now;
+  match Hashtbl.find t.open_stacks track with
+  | [] | (exception Not_found) -> ()
+  | sp :: rest ->
+    sp.sp_end <- now;
+    Hashtbl.replace t.open_stacks track rest;
+    Sim.Stats.record t.stats
+      (span_key t sp.sp_layer sp.sp_name)
+      (float_of_int (now - sp.sp_begin) /. 1_000.)
 
 let span_begin ~track ~layer ~name ~now =
-  match active () with
-  | None -> ()
-  | Some t ->
-    touch t now;
-    register_track t track;
-    let stack = Hashtbl.find t.open_stacks track in
-    let sp =
-      {
-        sp_track = track;
-        sp_layer = layer;
-        sp_name = name;
-        sp_begin = now;
-        sp_end = -1;
-        sp_depth = List.length stack;
-      }
-    in
-    Hashtbl.replace t.open_stacks track (sp :: stack);
-    t.spans_rev <- sp :: t.spans_rev;
-    t.n_spans <- t.n_spans + 1
+  match active () with None -> () | Some t -> open_span t ~track ~layer ~name ~now
 
 let span_end ~track ~now =
-  match active () with
-  | None -> ()
-  | Some t -> (
-    touch t now;
-    match Hashtbl.find_opt t.open_stacks track with
-    | None | Some [] -> ()
-    | Some (sp :: rest) ->
-      sp.sp_end <- now;
-      Hashtbl.replace t.open_stacks track rest;
-      Sim.Stats.record t.stats
-        (Printf.sprintf "span.%s.%s" (Layer.to_string sp.sp_layer) sp.sp_name)
-        (float_of_int (now - sp.sp_begin) /. 1_000.))
+  match active () with None -> () | Some t -> close_span t ~track ~now
 
 (* ---------- fiber-aware span helpers ---------- *)
 
-let fiber_track () =
+let fiber_track t =
   match Sim.Fiber.self_opt () with
-  | Some f -> Printf.sprintf "%s#%d" (Sim.Fiber.name f) (Sim.Fiber.id f)
   | None -> "events"
+  | Some f -> (
+    let id = Sim.Fiber.id f in
+    match Hashtbl.find t.fiber_tracks id with
+    | track -> track
+    | exception Not_found ->
+      let track = Printf.sprintf "%s#%d" (Sim.Fiber.name f) id in
+      Hashtbl.add t.fiber_tracks id track;
+      track)
 
 let enter eng layer name =
   match active () with
   | None -> ()
-  | Some _ ->
-    span_begin ~track:(fiber_track ()) ~layer ~name ~now:(Sim.Engine.now eng)
+  | Some t -> open_span t ~track:(fiber_track t) ~layer ~name ~now:(Sim.Engine.now eng)
 
 let leave eng =
   match active () with
   | None -> ()
-  | Some _ -> span_end ~track:(fiber_track ()) ~now:(Sim.Engine.now eng)
+  | Some t -> close_span t ~track:(fiber_track t) ~now:(Sim.Engine.now eng)
 
 let with_span eng layer name f =
   match active () with
   | None -> f ()
-  | Some _ ->
-    let track = fiber_track () in
-    span_begin ~track ~layer ~name ~now:(Sim.Engine.now eng);
-    Fun.protect
-      ~finally:(fun () -> span_end ~track ~now:(Sim.Engine.now eng))
-      f
+  | Some t -> (
+    let track = fiber_track t in
+    open_span t ~track ~layer ~name ~now:(Sim.Engine.now eng);
+    match f () with
+    | v ->
+      close_span t ~track ~now:(Sim.Engine.now eng);
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_span t ~track ~now:(Sim.Engine.now eng);
+      Printexc.raise_with_backtrace e bt)
 
 (* ---------- accessors ---------- *)
 

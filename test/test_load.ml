@@ -1,7 +1,8 @@
 (* Tests for the lib/load traffic generator and capacity analysis:
    arrival/mix parsing, knee detection, bit-identical sweeps (reruns and
    pool fan-out), closed-form sanity below the knee, the Table-2-matching
-   saturation ordering at 8 KB, and the sequencer-saturation result. *)
+   saturation ordering at 8 KB, the sequencer-saturation result, and the
+   opt-in window recorder. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -200,7 +201,6 @@ let synth offered achieved =
     server_util = 0.;
     server_thread_util = 0.;
     seq_util = 0.;
-    ledger_cpu_ms = 0.;
     violations = 0;
     per_shard = [||];
   }
@@ -380,6 +380,80 @@ let test_checked_low_loss () =
       (abs_float (m.Load.Metrics.achieved -. 400.) <= 20.)
   | _ -> Alcotest.fail "expected one point"
 
+(* ------------------------------------------------------------------ *)
+(* The window recorder is opt-in: without [?recorder] the harness
+   installs and uninstalls nothing (an ambient recorder survives the run);
+   with one, it records exactly [w_start, w_end).  Either way the window's
+   metrics are the same. *)
+
+let recorder_config =
+  {
+    Load.Clients.default with
+    Load.Clients.warmup = Sim.Time.ms 50;
+    window = Sim.Time.ms 200;
+    rate = 400.;
+    clients_per_node = 2;
+  }
+
+(* One RPC load run on a 3-node kernel cluster; returns the metrics and
+   samples of [recording ()], each with its simulated time since the run
+   began: at the start and end of every op, and once after the window. *)
+let recorder_run ?recorder () =
+  let cluster = Core.Cluster.create ~n:3 () in
+  let eng = cluster.Core.Cluster.eng in
+  let backends = Core.Cluster.backends cluster Core.Cluster.Kernel in
+  backends.(0).Orca.Backend.set_rpc_handler (fun ~client:_ ~size:_ _ ~reply ->
+      reply ~size:0 Sim.Payload.Empty);
+  let t0 = Sim.Engine.now eng in
+  let seen = ref [] in
+  let sample () =
+    seen := (Sim.Engine.now eng - t0, Obs.Recorder.recording ()) :: !seen
+  in
+  let after_window =
+    recorder_config.Load.Clients.warmup + recorder_config.Load.Clients.window
+    + Sim.Time.ms 1
+  in
+  ignore (Sim.Engine.at eng (t0 + after_window) sample);
+  let m =
+    Load.Clients.run_custom recorder_config ~eng
+      ~machines:cluster.Core.Cluster.machines ~label:"kernel" ~op_name:"rpc"
+      ?recorder
+      ~op:(fun rank _rng ->
+        sample ();
+        ignore (backends.(rank).Orca.Backend.rpc ~dst:0 ~size:0 Sim.Payload.Empty);
+        sample ())
+      ()
+  in
+  (m, !seen)
+
+let test_recorder_opt_in () =
+  let w_start = recorder_config.Load.Clients.warmup in
+  let w_end = w_start + recorder_config.Load.Clients.window in
+  let plain, seen = recorder_run () in
+  check_bool "ops ran" true (plain.Load.Metrics.completed > 0);
+  check_bool "no recorder: never recording" true
+    (List.for_all (fun (_, on) -> not on) seen);
+  let ambient = Obs.Recorder.create () in
+  Obs.Recorder.install ambient;
+  let kept, _ =
+    Fun.protect ~finally:Obs.Recorder.uninstall (fun () ->
+        let r = recorder_run () in
+        check_bool "ambient recorder still the active one" true
+          (match Obs.Recorder.active () with Some a -> a == ambient | None -> false);
+        r)
+  in
+  let r = Obs.Recorder.create () in
+  let recorded, seen = recorder_run ~recorder:r () in
+  check_bool "recording exactly inside the window" true
+    (List.for_all (fun (t, on) -> on = (t >= w_start && t < w_end)) seen);
+  check_bool "some ops inside the window" true (List.exists snd seen);
+  check_bool "sampled after the window" true
+    (List.exists (fun (t, _) -> t >= w_end) seen);
+  check_bool "uninstalled after the run" false (Obs.Recorder.recording ());
+  check_bool "window CPU in the ledger" true (Obs.Recorder.cpu_ns r > 0);
+  check_bool "recorded = unrecorded metrics" true (recorded = plain);
+  check_bool "ambient = unrecorded metrics" true (kept = plain)
+
 let () =
   Alcotest.run "load"
     [
@@ -404,6 +478,7 @@ let () =
           Alcotest.test_case "rerun identical" `Quick test_sweep_deterministic;
           Alcotest.test_case "pool identical" `Quick test_sweep_pool_deterministic;
         ] );
+      ("recorder", [ Alcotest.test_case "window recorder opt-in" `Quick test_recorder_opt_in ]);
       ( "capacity",
         [
           Alcotest.test_case "below knee" `Quick test_below_knee_sanity;
