@@ -56,6 +56,23 @@ let run_sequential p =
 let sequential p = fst (run_sequential p)
 let iterations p = snd (run_sequential p)
 
+(* Blit every rank's slice of the next iterate into [x]; returns the max
+   component change, measured before each component is overwritten. *)
+let assemble ~n ~parts x slices =
+  let rec go maxd = function
+    | [] -> maxd
+    | (r, slice) :: rest ->
+      let slo, _shi = Workload.block_range ~n ~parts ~rank:r in
+      let m = ref maxd in
+      for k = 0 to Array.length slice - 1 do
+        let d = Float.abs (slice.(k) -. x.(slo + k)) in
+        if d > !m then m := d
+      done;
+      Array.blit slice 0 x slo (Array.length slice);
+      go !m rest
+  in
+  go 0. slices
+
 (* Replicated board collecting each iteration's slices. *)
 type board = {
   slices : (int, (int * float array) list ref) Hashtbl.t; (* iter -> (rank, slice) *)
@@ -63,7 +80,6 @@ type board = {
 
 let make dom p =
   let parts = Orca.Rts.size dom in
-  let iters = iterations p in
   let a, b = system p in
   let n = p.n in
   let board =
@@ -114,23 +130,23 @@ let make dom p =
     let lo, hi = Workload.block_range ~n ~parts ~rank in
     let x = bodies_x.(rank) in
     let x' = Array.make n 0. in
-    for iter = 1 to iters do
-      let d = jacobi_rows a b x x' ~lo ~hi in
-      ignore d;
+    (* The sequential reference's convergence test, replicated: every rank
+       assembles the same new vector from the same slices, so every rank
+       sees the sequential max change and stops after the same iteration. *)
+    let iter = ref 0 and continue = ref true in
+    while !continue do
+      incr iter;
+      let iter = !iter in
+      ignore (jacobi_rows a b x x' ~lo ~hi);
       Thread.compute ((hi - lo) * n * p.cell_cost);
       ignore
         (Orca.Rts.invoke add_slice
            (Workload.Tagged (iter, Workload.Frow (rank, Array.sub x' lo (hi - lo)))));
       (* Assemble the new x from everyone's slices, once they are all
-         here. *)
-      (match Orca.Rts.invoke await_all (Workload.Int_v iter) with
-       | Workload.Slices l ->
-         List.iter
-           (fun (r, slice) ->
-             let slo, _shi = Workload.block_range ~n ~parts ~rank:r in
-             Array.blit slice 0 x slo (Array.length slice))
-           l
-       | _ -> assert false)
+         here, measuring each component's change before overwriting it. *)
+      match Orca.Rts.invoke await_all (Workload.Int_v iter) with
+      | Workload.Slices l -> continue := assemble ~n ~parts x l > p.epsilon
+      | _ -> assert false
     done
   in
   let result () = checksum bodies_x.(0) in

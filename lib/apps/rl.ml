@@ -31,23 +31,21 @@ let initial_labels p =
 let update_block ~w rows ~above ~below =
   let h = Array.length rows in
   let old = Array.map Array.copy rows in
-  let get i j =
-    if j < 0 || j >= w then background
-    else if i = -1 then if Array.length above = 0 then background else above.(j)
-    else if i = h then if Array.length below = 0 then background else below.(j)
-    else old.(i).(j)
-  in
+  let ghost g = if Array.length g = 0 then Array.make w background else g in
+  let min (a : int) b = if a < b then a else b in
   let changed = ref 0 in
   for i = 0 to h - 1 do
+    let up = if i = 0 then ghost above else old.(i - 1) in
+    let down = if i = h - 1 then ghost below else old.(i + 1) in
+    let o = old.(i) and row = rows.(i) in
     for j = 0 to w - 1 do
-      if old.(i).(j) <> background then begin
-        let v =
-          min
-            (min (get (i - 1) j) (get (i + 1) j))
-            (min (get i (j - 1)) (min (get i (j + 1)) old.(i).(j)))
-        in
-        if v < rows.(i).(j) then begin
-          rows.(i).(j) <- v;
+      let c = o.(j) in
+      if c <> background then begin
+        let left = if j = 0 then background else o.(j - 1) in
+        let right = if j = w - 1 then background else o.(j + 1) in
+        let v = min (min up.(j) down.(j)) (min left (min right c)) in
+        if v < row.(j) then begin
+          row.(j) <- v;
           incr changed
         end
       end
@@ -61,27 +59,20 @@ let checksum labels =
       Array.fold_left (fun a v -> if v = background then a else a + (v mod 100003)) acc row)
     0 labels
 
-let run_sequential p =
+let sequential p =
   let labels = initial_labels p in
   let iters = ref 0 in
-  let changes = ref 0 in
   let since_vote = ref 0 in
   let continue = ref true in
   while !continue do
     incr iters;
-    let c = update_block ~w:p.w labels ~above:[||] ~below:[||] in
-    changes := !changes + c;
-    since_vote := !since_vote + c;
+    since_vote := !since_vote + update_block ~w:p.w labels ~above:[||] ~below:[||];
     if !iters mod p.check_every = 0 then begin
       continue := !since_vote > 0;
       since_vote := 0
     end
   done;
-  (checksum labels, !iters, !changes)
-
-let sequential p = match run_sequential p with c, _, _ -> c
-let iterations p = match run_sequential p with _, i, _ -> i
-let total_changes p = match run_sequential p with _, _, c -> c
+  checksum labels
 
 let make dom p =
   let parts = Orca.Rts.size dom in

@@ -26,28 +26,31 @@ let initial_grid p =
           else Sim.Rng.float rng 1.0))
 
 (* One red/black half-sweep on rows [lo, hi) of a block; ghost rows supply
-   the missing neighbours.  Returns the max residual. *)
+   the missing neighbours (an empty ghost reads as [nan]).  Returns the max
+   residual.  Rows are indexed directly, up and down picked once per row,
+   so no neighbour read boxes a float. *)
 let half_sweep ~p ~colour ~global_lo rows ~above ~below =
   let h = Array.length rows and w = p.w in
-  let get i j =
-    if i = -1 then if Array.length above = 0 then nan else above.(j)
-    else if i = h then if Array.length below = 0 then nan else below.(j)
-    else rows.(i).(j)
-  in
+  let ghost g = if Array.length g = 0 then Array.make w nan else g in
   let maxdelta = ref 0. in
   for i = 0 to h - 1 do
     let gi = global_lo + i in
-    if gi > 0 && gi < p.h - 1 then
-      for j = 1 to w - 2 do
-        if (gi + j) land 1 = colour then begin
-          let old = rows.(i).(j) in
-          let nbr = get (i - 1) j +. get (i + 1) j +. get i (j - 1) +. get i (j + 1) in
-          let v = old +. (p.omega *. ((nbr /. 4.) -. old)) in
-          rows.(i).(j) <- v;
-          let d = Float.abs (v -. old) in
-          if d > !maxdelta then maxdelta := d
-        end
+    if gi > 0 && gi < p.h - 1 then begin
+      let up = if i = 0 then ghost above else rows.(i - 1) in
+      let down = if i = h - 1 then ghost below else rows.(i + 1) in
+      let row = rows.(i) in
+      let j = ref (if (gi + 1) land 1 = colour then 1 else 2) in
+      while !j <= w - 2 do
+        let c = !j in
+        let old = row.(c) in
+        let nbr = up.(c) +. down.(c) +. row.(c - 1) +. row.(c + 1) in
+        let v = old +. (p.omega *. ((nbr /. 4.) -. old)) in
+        row.(c) <- v;
+        let d = Float.abs (v -. old) in
+        if d > !maxdelta then maxdelta := d;
+        j := c + 2
       done
+    end
   done;
   !maxdelta
 
@@ -79,7 +82,6 @@ let run_sequential p =
   (checksum grid, !iters)
 
 let sequential p = fst (run_sequential p)
-let iterations p = snd (run_sequential p)
 
 let make dom p =
   let parts = Orca.Rts.size dom in

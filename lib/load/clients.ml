@@ -64,26 +64,35 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
   in
   (* Window boundaries: snapshot every CPU's busy time, and scope the
      caller's Obs recorder, if it handed one, to exactly the measurement
-     window.  Without one nothing is installed or uninstalled, so a
-     recorder the caller installed itself stays the active one. *)
+     window; at its end the recorder active at its start is put back.
+     Without one nothing is installed or uninstalled, so a recorder the
+     caller installed itself stays the active one. *)
   let n_mach = Array.length machines in
   let busy0 = Array.make n_mach 0 and busy1 = Array.make n_mach 0 in
   let seq_busy0 = ref 0 and seq_busy1 = ref 0 in
   let srv_intr0 = ref 0 and srv_intr1 = ref 0 in
   let seq_busy m = Machine.Cpu.busy_time (Machine.Mach.cpu m) in
   let intr_busy m = Machine.Cpu.busy_interrupt_time (Machine.Mach.cpu m) in
+  let outer = ref None in
   ignore
     (Sim.Engine.at eng w_start (fun () ->
          Array.iteri (fun i m -> busy0.(i) <- seq_busy m) machines;
          (match seq_machine with Some m -> seq_busy0 := seq_busy m | None -> ());
          srv_intr0 := intr_busy machines.(server);
-         Option.iter Obs.Recorder.install recorder));
+         Option.iter
+           (fun r ->
+             outer := Obs.Recorder.active ();
+             Obs.Recorder.install r)
+           recorder));
   ignore
     (Sim.Engine.at eng w_end (fun () ->
          Array.iteri (fun i m -> busy1.(i) <- seq_busy m) machines;
          (match seq_machine with Some m -> seq_busy1 := seq_busy m | None -> ());
          srv_intr1 := intr_busy machines.(server);
-         match recorder with Some _ -> Obs.Recorder.uninstall () | None -> ()));
+         if Option.is_some recorder then
+           match !outer with
+           | Some r -> Obs.Recorder.install r
+           | None -> Obs.Recorder.uninstall ()));
   (* One RNG per client, split in client order from the root seed. *)
   let root = Sim.Rng.create ~seed:cfg.seed in
   let mean_gap_ns = if cfg.rate > 0. then 1e9 /. per_client_rate else 0. in

@@ -383,7 +383,8 @@ let test_checked_low_loss () =
 (* ------------------------------------------------------------------ *)
 (* The window recorder is opt-in: without [?recorder] the harness
    installs and uninstalls nothing (an ambient recorder survives the run);
-   with one, it records exactly [w_start, w_end).  Either way the window's
+   with one, it records exactly [w_start, w_end) and then puts back the
+   recorder that was active at [w_start].  Either way the window's
    metrics are the same. *)
 
 let recorder_config =
@@ -451,6 +452,17 @@ let test_recorder_opt_in () =
     (List.exists (fun (t, _) -> t >= w_end) seen);
   check_bool "uninstalled after the run" false (Obs.Recorder.recording ());
   check_bool "window CPU in the ledger" true (Obs.Recorder.cpu_ns r > 0);
+  (* A window recorder nested in an ambient one hands recording back to
+     the ambient recorder when the window ends. *)
+  Obs.Recorder.install ambient;
+  let nested, _ =
+    Fun.protect ~finally:Obs.Recorder.uninstall (fun () ->
+        let r = recorder_run ~recorder:(Obs.Recorder.create ()) () in
+        check_bool "ambient recorder active again after the window" true
+          (match Obs.Recorder.active () with Some a -> a == ambient | None -> false);
+        r)
+  in
+  check_bool "nested = unrecorded metrics" true (nested = plain);
   check_bool "recorded = unrecorded metrics" true (recorded = plain);
   check_bool "ambient = unrecorded metrics" true (kept = plain)
 
